@@ -35,6 +35,19 @@ echo "==> release-mode shadow verification (route cache + sharding, --features s
 cargo test -q --release -p integration-tests --features shadow-verify \
     --test route_cache --test golden_outputs --test sharding
 
+echo "==> vendored rayon: thread budget + worker pool unit tests"
+# vendor/ sits outside the workspace, so the suites above never run these.
+# They pin the process-wide helper budget (helpers come back after a
+# collect and after a pool drops, nested collects run inline) and the
+# pool's panic propagation from helper threads to the caller.
+cargo test -q --offline --manifest-path vendor/rayon/Cargo.toml \
+    --target-dir target/vendor-rayon
+
+echo "==> benchmark harness tests (perfbench, incl. a smoke run of every workload)"
+# The h7-sharded smoke run checks the sharded engine against the serial
+# one, so a worker-pool bug fails CI and not only the benchmark.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo doc --no-deps --workspace (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 

@@ -16,8 +16,10 @@
 //!   total as JSON next to the bench artifacts,
 //! * `--shards N` — run on the group-sharded engine with `N` shards; the
 //!   phase breakdown then includes the cycle-barrier merge (folded into
-//!   the transmit phase) and the congestion trace is bit-identical to
-//!   the serial engine's.
+//!   the transmit phase and also shown alone as `barrier`) and the
+//!   stepping thread's `wait` for helper threads (inside deliver, inject
+//!   and transmit), and the congestion trace is bit-identical to the
+//!   serial engine's.
 
 use df_bench::{fail, write_json};
 use dragonfly_core::df_engine::{PhaseProfile, RouterState, TelemetrySpec};
@@ -174,10 +176,13 @@ fn main() {
             .iter()
             .map(|(label, ns)| format!("{label}={:.2}µs", *ns as f64 / 1e3 / chunk.cycles as f64))
             .collect();
+        let per_cycle = |ns: u64| ns as f64 / 1e3 / chunk.cycles as f64;
         println!(
-            "          cycle={:.2}µs [{}]",
-            chunk.total_ns() as f64 / 1e3 / chunk.cycles as f64,
+            "          cycle={:.2}µs [{}] of which barrier={:.2}µs wait={:.2}µs",
+            per_cycle(chunk.total_ns()),
             phases.join(" "),
+            per_cycle(chunk.barrier_ns),
+            per_cycle(chunk.wait_ns),
         );
         total.absorb(&chunk);
         chunks.push(chunk);
@@ -190,6 +195,16 @@ fn main() {
     for (label, ns) in total.phases() {
         println!(
             "  {label:<9} {:>8.2}µs/cycle  {:>5.1}%",
+            ns as f64 / 1e3 / total.cycles as f64,
+            ns as f64 / total.total_ns() as f64 * 100.0,
+        );
+    }
+    for (label, ns, within) in [
+        ("barrier", total.barrier_ns, "transmit"),
+        ("wait", total.wait_ns, "deliver/inject/transmit"),
+    ] {
+        println!(
+            "  {label:<9} {:>8.2}µs/cycle  {:>5.1}%  (inside {within})",
             ns as f64 / 1e3 / total.cycles as f64,
             ns as f64 / total.total_ns() as f64 * 100.0,
         );

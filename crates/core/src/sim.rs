@@ -250,6 +250,15 @@ impl Engine {
             Engine::Sharded(n) => n.shard_count(),
         }
     }
+
+    /// Helper threads the engine's shard pool holds (0 for the serial
+    /// engine, before the first step, and inside a parallel worker).
+    pub fn helpers(&self) -> usize {
+        match self {
+            Engine::Serial(_) => 0,
+            Engine::Sharded(n) => n.helpers(),
+        }
+    }
 }
 
 /// A configured, steppable simulation.

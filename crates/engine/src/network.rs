@@ -73,14 +73,25 @@ pub struct PhaseProfile {
     pub inject_ns: u64,
     /// Switch allocation across all active routers.
     pub allocate_ns: u64,
-    /// Output-buffer → link transmissions.
+    /// Output-buffer → link transmissions (sharded engine: including the
+    /// cross-shard barrier exchange).
     pub transmit_ns: u64,
+    /// Sharded engine only, informational: the cross-shard barrier
+    /// exchange, a sub-share of `transmit_ns`.
+    #[serde(default)]
+    pub barrier_ns: u64,
+    /// Sharded engine only, informational: the stepping thread's idle
+    /// time waiting for helper threads after finishing its own shards,
+    /// summed over the deliver, inject and transmit phases it is part of.
+    #[serde(default)]
+    pub wait_ns: u64,
     /// Cycles accumulated into this profile.
     pub cycles: u64,
 }
 
 impl PhaseProfile {
-    /// Total nanoseconds across all phases.
+    /// Total nanoseconds across all phases (`barrier_ns` and `wait_ns`
+    /// are already inside them).
     pub fn total_ns(&self) -> u64 {
         self.deliver_ns + self.policy_ns + self.inject_ns + self.allocate_ns + self.transmit_ns
     }
@@ -104,6 +115,8 @@ impl PhaseProfile {
         self.inject_ns += other.inject_ns;
         self.allocate_ns += other.allocate_ns;
         self.transmit_ns += other.transmit_ns;
+        self.barrier_ns += other.barrier_ns;
+        self.wait_ns += other.wait_ns;
         self.cycles += other.cycles;
     }
 }
@@ -1870,5 +1883,15 @@ mod tests {
         assert_eq!(net.counters().delivered_packets, 0);
         assert_eq!(net.counters().cycles, 0);
         assert!(net.counters().injected_per_router.iter().all(|&c| c == 0));
+    }
+
+    #[test]
+    fn phase_profile_without_barrier_and_wait_still_parses() {
+        // Profiles archived before `barrier_ns`/`wait_ns` existed.
+        let mut v = PhaseProfile { deliver_ns: 7, cycles: 3, ..Default::default() }.to_value();
+        let serde::Value::Map(entries) = &mut v else { panic!("profile is not a map") };
+        entries.retain(|(k, _)| k != "barrier_ns" && k != "wait_ns");
+        let back = PhaseProfile::from_value(&v).expect("old profile parses");
+        assert_eq!((back.deliver_ns, back.cycles, back.barrier_ns, back.wait_ns), (7, 3, 0, 0));
     }
 }

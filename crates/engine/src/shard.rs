@@ -5,11 +5,15 @@
 //! nodes, event wheel, and packet arena, stepped **phase-major** — every
 //! shard runs phase *k* before any shard runs phase *k+1*, preserving the
 //! serial engine's deliver → policy → inject → allocate → transmit order
-//! network-wide. The shard-local phases (deliver, inject, transmit) fan
-//! out over the work-claiming `par_iter_mut`; the phases that touch the
-//! single shared routing policy (its RNG and congestion tables) run
-//! sequentially in ascending shard order, which is ascending router order
-//! — exactly the serial schedule.
+//! network-wide. The shard-local phases (deliver, inject, transmit) are
+//! one dispatch each to a persistent [`rayon::Pool`], created on the
+//! first step and joined on drop: the stepping thread works on shards
+//! itself and up to S−1 helper threads from the process-wide budget take
+//! the rest (a network built inside a sweep worker takes none and runs
+//! every shard inline). The phases that touch the single shared routing
+//! policy (its RNG and congestion tables) run sequentially in ascending
+//! shard order, which is ascending router order — exactly the serial
+//! schedule. Which thread runs a shard-local phase never affects output.
 //!
 //! Cross-shard traffic exists only on global links (groups are whole
 //! within a shard): transiting flits and upstream credit returns. Both
@@ -36,7 +40,7 @@ use crate::packet::{DeliveredRecord, Packet, PacketSeq};
 use crate::policy::{RoutingPolicy, StatsSink};
 use crate::router::RouterState;
 use df_topology::{NodeId, Port, RouterId, ShardPlan, Topology};
-use rayon::prelude::*;
+use rayon::Pool;
 use std::time::Instant;
 
 /// A credit return crossing a shard boundary (global links only).
@@ -117,6 +121,9 @@ pub struct ShardedNetwork<P: RoutingPolicy, S: StatsSink> {
     /// Global packet sequence counter (consumed only on accepted offers,
     /// matching the serial engine byte-for-byte).
     next_packet_seq: PacketSeq,
+    /// Workers for the shard-local phases; built on the first step so
+    /// an unstepped network holds no threads.
+    pool: Option<Pool>,
 }
 
 impl<P: RoutingPolicy + Send, S: StatsSink> ShardedNetwork<P, S> {
@@ -140,7 +147,7 @@ impl<P: RoutingPolicy + Send, S: StatsSink> ShardedNetwork<P, S> {
                 )
             })
             .collect();
-        Self { shards, policy, sink, plan, topo, cfg, cycle: 0, next_packet_seq: 0 }
+        Self { shards, policy, sink, plan, topo, cfg, cycle: 0, next_packet_seq: 0, pool: None }
     }
 
     /// The shard plan in effect.
@@ -276,10 +283,17 @@ impl<P: RoutingPolicy + Send, S: StatsSink> ShardedNetwork<P, S> {
         }
     }
 
+    /// Helper threads this network's pool holds (0 before the first
+    /// step, on one core, or when built inside a parallel worker).
+    pub fn helpers(&self) -> usize {
+        self.pool.as_ref().map_or(0, Pool::helpers)
+    }
+
     /// Advance the simulation by one cycle, phase-major across shards.
     pub fn step(&mut self) {
         self.cycle += 1;
-        self.shards.par_iter_mut().for_each(|sh| {
+        let pool = self.pool.get_or_insert_with(|| Pool::new(self.shards.len()));
+        pool.for_each_mut(&mut self.shards, |sh| {
             sh.begin_cycle_bump();
             sh.phase_deliver();
         });
@@ -289,20 +303,23 @@ impl<P: RoutingPolicy + Send, S: StatsSink> ShardedNetwork<P, S> {
         for sh in &mut self.shards {
             sh.run_policy_begin_with(&mut self.policy);
         }
-        self.shards.par_iter_mut().for_each(|sh| sh.phase_inject());
+        pool.for_each_mut(&mut self.shards, |sh| sh.phase_inject());
         for sh in &mut self.shards {
             sh.allocate_all_with(&mut self.policy);
         }
-        self.shards.par_iter_mut().for_each(|sh| sh.phase_transmit());
+        pool.for_each_mut(&mut self.shards, |sh| sh.phase_transmit());
         self.barrier_exchange();
     }
 
-    /// [`Self::step`] with per-phase wall-clock accumulation (the barrier
-    /// exchange is folded into `transmit_ns`).
+    /// [`Self::step`] with per-phase wall-clock accumulation. The barrier
+    /// exchange is folded into `transmit_ns` and also reported alone as
+    /// `barrier_ns`; `wait_ns` sums the stepping thread's idle time
+    /// waiting for helpers at the end of each parallel phase.
     pub fn step_timed(&mut self, profile: &mut PhaseProfile) {
         self.cycle += 1;
+        let pool = self.pool.get_or_insert_with(|| Pool::new(self.shards.len()));
         let t0 = Instant::now();
-        self.shards.par_iter_mut().for_each(|sh| {
+        let mut wait = pool.for_each_mut(&mut self.shards, |sh| {
             sh.begin_cycle_bump();
             sh.phase_deliver();
         });
@@ -311,13 +328,14 @@ impl<P: RoutingPolicy + Send, S: StatsSink> ShardedNetwork<P, S> {
             sh.run_policy_begin_with(&mut self.policy);
         }
         let t2 = Instant::now();
-        self.shards.par_iter_mut().for_each(|sh| sh.phase_inject());
+        wait += pool.for_each_mut(&mut self.shards, |sh| sh.phase_inject());
         let t3 = Instant::now();
         for sh in &mut self.shards {
             sh.allocate_all_with(&mut self.policy);
         }
         let t4 = Instant::now();
-        self.shards.par_iter_mut().for_each(|sh| sh.phase_transmit());
+        wait += pool.for_each_mut(&mut self.shards, |sh| sh.phase_transmit());
+        let tb = Instant::now();
         self.barrier_exchange();
         let t5 = Instant::now();
         profile.deliver_ns += (t1 - t0).as_nanos() as u64;
@@ -325,6 +343,8 @@ impl<P: RoutingPolicy + Send, S: StatsSink> ShardedNetwork<P, S> {
         profile.inject_ns += (t3 - t2).as_nanos() as u64;
         profile.allocate_ns += (t4 - t3).as_nanos() as u64;
         profile.transmit_ns += (t5 - t4).as_nanos() as u64;
+        profile.barrier_ns += (t5 - tb).as_nanos() as u64;
+        profile.wait_ns += wait.as_nanos() as u64;
         profile.cycles += 1;
     }
 

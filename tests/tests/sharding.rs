@@ -12,6 +12,7 @@
 use dragonfly_core::df_workload::{InjectionSpec, JobSpec, PlacementSpec, ScenarioSpec};
 use dragonfly_core::prelude::*;
 use proptest::prelude::*;
+use rayon::prelude::*;
 use std::path::PathBuf;
 
 /// Shard counts exercised against the serial baseline on the Figure 1
@@ -207,6 +208,68 @@ fn beyond_paper_h7_scenario_is_shard_invariant() {
             b.display()
         );
     }
+}
+
+/// Nested parallelism: a sweep's units already run in parallel, so a
+/// sharded engine built inside a sweep worker takes no helper threads
+/// from the process-wide budget — its shards step inline on the worker —
+/// and the table is still byte-identical to the serial engine's. No
+/// timing is involved: the helper count is read back, not inferred.
+#[test]
+fn sharded_sweep_cells_take_no_helpers_and_match_serial() {
+    let mut base = churn_scenario(MechanismSpec::Min, 300, 100);
+    base.warmup_cycles = 100;
+    base.measure_cycles = 400;
+    let sweep = SweepSpec {
+        name: "nested-shards".into(),
+        base,
+        loads: None,
+        load_jobs: None,
+        placements: None,
+        patterns: None,
+        pattern_jobs: None,
+        mechanisms: Some(vec![MechanismSpec::Min, MechanismSpec::InTransitMm]),
+    };
+    let seeds = [DEFAULT_SEEDS[0]];
+    // Every cell's cycle loop runs inside a sweep worker.
+    let in_worker = |_cycle: u64| assert!(rayon::in_worker(), "sweep cell ran outside a worker");
+    let ctl = RunCtl { on_cycle: Some(&in_worker), ..RunCtl::NONE };
+    let table = |shards| {
+        let mut sweep = sweep.clone();
+        sweep.base.shards = Some(shards);
+        let table = run_sweep_ctl(&sweep, &seeds, &ctl).expect("run sweep");
+        assert_eq!(table.cells, 2);
+        serde_json::to_string(&table).expect("serialize table")
+    };
+    assert_eq!(table(1), table(2), "sharded sweep diverged from serial");
+
+    // A sharded engine built and stepped in such a worker holds no
+    // helpers (it would claim one outside, budget permitting).
+    let cells = sweep.expand().expect("expand sweep");
+    let held: Vec<(u32, usize)> = cells
+        .par_iter()
+        .map(|cell| {
+            let spec = &cell.scenario;
+            let mut sim = Simulator::new(&SimConfig {
+                params: spec.params,
+                arrangement: spec.arrangement,
+                mechanism: cell.mechanism,
+                arbiter: spec.arbiter,
+                pattern: PatternSpec::Uniform,
+                load: 0.25,
+                warmup_cycles: 0,
+                measure_cycles: 50,
+                seed: seeds[0],
+                telemetry: None,
+                shards: Some(2),
+            });
+            for _ in 0..50 {
+                sim.step();
+            }
+            (sim.network().shard_count(), sim.network().helpers())
+        })
+        .collect();
+    assert_eq!(held, vec![(2, 0), (2, 0)]);
 }
 
 /// `shards` is an optional spec field: legacy scenario files without it
