@@ -86,6 +86,26 @@ cargo run --release -p df-bench --bin scenario -- --quick --shards 2 \
 cmp "$shard_dir/h7-serial.out" "$shard_dir/h7-sharded.out"
 rm -rf "$shard_dir"
 
+echo "==> dbg_bottleneck at 1 and 2 shards (timed cycle body, trace byte-compare)"
+# dbg_bottleneck steps through Simulator::step_profiled, the timed path
+# of the engine's one cycle body. Its `t=` lines (per-1000-cycle
+# injections, throughput, in-flight packets, bottleneck congestion) are
+# deterministic and must match across shard counts; the phase-timing
+# lines are wall clock and are not compared. Both --json archives must
+# be written.
+dbg_dir="$(mktemp -d)"
+for s in 1 2; do
+    cargo run --release -p df-bench --bin dbg_bottleneck -- mm \
+        --json "$dbg_dir/phases-s$s.json" --shards "$s" > "$dbg_dir/s$s.out"
+    grep '^t=' "$dbg_dir/s$s.out" > "$dbg_dir/s$s.trace"
+    test -s "$dbg_dir/phases-s$s.json" || {
+        echo "dbg_bottleneck --shards $s wrote no phase archive" >&2
+        exit 1
+    }
+done
+cmp "$dbg_dir/s1.trace" "$dbg_dir/s2.trace"
+rm -rf "$dbg_dir"
+
 echo "==> sweep smoke run + determinism gate (bundled grid, twice, bit-compare)"
 # The long-format table must be bit-identical across same-seed runs
 # regardless of how cells were scheduled across threads. The first run's

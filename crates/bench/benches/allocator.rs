@@ -5,23 +5,28 @@
 //! adaptive heads everywhere — the allocate-phase hotspot).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use df_engine::{ArbiterPolicy, EngineConfig, Network, NullSink};
+use df_engine::{ArbiterPolicy, EngineConfig, Network, NullSink, RoutingPolicy};
 use df_routing::MechanismSpec;
 use df_topology::{Arrangement, DragonflyParams, NodeId, Topology};
 use df_traffic::{AdvConsecutive, Traffic};
 
+type Net = Network<Box<dyn RoutingPolicy + Send>, NullSink>;
+
+/// An idle small (342-node) network under `mechanism` and `arbiter`, on
+/// `shards` shards.
+fn small_network(mechanism: MechanismSpec, arbiter: ArbiterPolicy, shards: u32) -> Net {
+    let topo = Topology::new(DragonflyParams::small(), Arrangement::Palmtree);
+    let cfg = EngineConfig::paper(arbiter, 3);
+    let policy = mechanism.build(topo.clone(), &cfg, 5);
+    Network::new(topo, cfg, policy, NullSink, shards)
+}
+
 /// Build a single-group-bottleneck hotspot: all nodes of group 0 send to
 /// the same remote group, saturating the one exit link and keeping every
 /// allocator in group 0 busy arbitrating.
-fn hotspot_network(
-    arbiter: ArbiterPolicy,
-) -> Network<Box<dyn df_engine::RoutingPolicy>, NullSink> {
-    let params = DragonflyParams::small();
-    let topo = Topology::new(params, Arrangement::Palmtree);
-    let cfg = EngineConfig::paper(arbiter, 3);
-    let policy: Box<dyn df_engine::RoutingPolicy> =
-        MechanismSpec::Min.build(topo.clone(), &cfg, 5);
-    let mut net = Network::new(topo, cfg, policy, NullSink);
+fn hotspot_network(arbiter: ArbiterPolicy) -> Net {
+    let mut net = small_network(MechanismSpec::Min, arbiter, 1);
+    let params = *net.topology().params();
     let per_group = params.a * params.p;
     for round in 0..40u32 {
         for n in 0..per_group {
@@ -38,16 +43,10 @@ fn hotspot_network(
 /// every group's exit link is a standing bottleneck and nearly all VC
 /// heads are blocked adaptive decisions. Steady state is reached during
 /// warm-up; the measured body is one loaded network cycle.
-fn saturated_advc_network() -> (
-    Network<Box<dyn df_engine::RoutingPolicy>, NullSink>,
-    AdvConsecutive,
-) {
-    let params = DragonflyParams::small();
-    let topo = Topology::new(params, Arrangement::Palmtree);
-    let cfg = EngineConfig::paper(ArbiterPolicy::TransitPriority, 3);
-    let policy: Box<dyn df_engine::RoutingPolicy> =
-        MechanismSpec::InTransitMm.build(topo.clone(), &cfg, 5);
-    let mut net = Network::new(topo, cfg, policy, NullSink);
+fn saturated_advc_network() -> (Net, AdvConsecutive) {
+    let mut net =
+        small_network(MechanismSpec::InTransitMm, ArbiterPolicy::TransitPriority, 1);
+    let params = *net.topology().params();
     let mut pattern = AdvConsecutive::new(params, 11);
     for round in 0..2_000u32 {
         offer_advc_round(&mut net, &mut pattern, params.nodes(), round);
@@ -58,12 +57,7 @@ fn saturated_advc_network() -> (
 
 /// Offer ~40% of nodes (deterministic stride, rotating phase) one ADVc
 /// packet each — the saturating load of the acceptance benchmark.
-fn offer_advc_round(
-    net: &mut Network<Box<dyn df_engine::RoutingPolicy>, NullSink>,
-    pattern: &mut AdvConsecutive,
-    nodes: u32,
-    round: u32,
-) {
+fn offer_advc_round(net: &mut Net, pattern: &mut AdvConsecutive, nodes: u32, round: u32) {
     for n in 0..nodes {
         if (n + round) % 5 < 2 {
             let src = NodeId(n);

@@ -14,12 +14,12 @@
 //!   and the allocate-phase hotspot are visible while they happen,
 //! * `--json PATH` — archive the per-chunk phase breakdowns and the run
 //!   total as JSON next to the bench artifacts,
-//! * `--shards N` — run on the group-sharded engine with `N` shards; the
-//!   phase breakdown then includes the cycle-barrier merge (folded into
-//!   the transmit phase and also shown alone as `barrier`) and the
-//!   stepping thread's `wait` for helper threads (inside deliver, inject
-//!   and transmit), and the congestion trace is bit-identical to the
-//!   serial engine's.
+//! * `--shards N` — split the engine into `N` group shards (default 1).
+//!   The phase breakdown always shows the cycle barrier (folded into the
+//!   transmit phase and also shown alone as `barrier`) and the stepping
+//!   thread's `wait` for helper threads (inside deliver, inject and
+//!   transmit; 0 at one shard). The `t=` congestion trace is
+//!   bit-identical for every `N`.
 
 use df_bench::{fail, write_json};
 use dragonfly_core::df_engine::{PhaseProfile, RouterState, TelemetrySpec};

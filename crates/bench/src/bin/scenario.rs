@@ -17,9 +17,9 @@
 //! * `--timeline PATH` — additionally run every mechanism × the first
 //!   seed with windowed telemetry on, streaming one JSONL row per window
 //!   into `PATH` as it closes (see `docs/OBSERVABILITY.md`),
-//! * `--shards N` — run each cell on the group-sharded engine with `N`
+//! * `--shards N` — run each cell with the engine split into `N` group
 //!   shards (clamped to the group count). Output is bit-identical to the
-//!   serial engine for any `N` (see `docs/DETERMINISM.md`); overrides the
+//!   one-shard run for any `N` (see `docs/DETERMINISM.md`); overrides the
 //!   spec's `shards` field and `DF_TEST_SHARDS`.
 //!
 //! The seed-averaged summary is always printed to stdout as JSON (after

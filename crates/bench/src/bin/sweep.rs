@@ -17,9 +17,10 @@
 //! * `--timeline PATH` — additionally re-run the first cell under the
 //!   first seed with windowed telemetry on, streaming one JSONL row per
 //!   window into `PATH` (see `docs/OBSERVABILITY.md`),
-//! * `--shards N` — run every cell on the group-sharded engine with `N`
-//!   shards (clamped to the group count). The table is bit-identical to
-//!   the serial engine's for any `N` (see `docs/DETERMINISM.md`).
+//! * `--shards N` — run every cell with the engine split into `N`
+//!   group shards (clamped to the group count). The table is
+//!   bit-identical to the one-shard run's for any `N` (see
+//!   `docs/DETERMINISM.md`).
 //!
 //! The table is deterministic: the same sweep file and seed set produce a
 //! bit-identical JSON/CSV artifact regardless of how cells were scheduled

@@ -35,8 +35,8 @@ pub struct SimConfig {
     pub telemetry: Option<TelemetrySpec>,
     /// Group-shard count for parallel execution (clamped to the group
     /// count; `None` or an omitted JSON field defers to the
-    /// `DF_TEST_SHARDS` environment variable, then to 1 — the serial
-    /// engine). Same-seed output is bit-identical for every value, so
+    /// `DF_TEST_SHARDS` environment variable, then to 1 — a serial
+    /// run). Same-seed output is bit-identical for every value, so
     /// this is a purely operational knob and never enters result-cache
     /// keys.
     pub shards: Option<u32>,

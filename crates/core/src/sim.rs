@@ -16,12 +16,9 @@
 use crate::config::{derive_seed, SimConfig};
 use crate::sink::MeasurementSink;
 use crate::timeline::{TimelineRecorder, TimelineSink, WindowRow};
-use df_engine::{
-    Counters, EngineConfig, Network, Packet, PacketId, PhaseProfile, RouterState, RoutingPolicy,
-    ShardedNetwork,
-};
+use df_engine::{Network, PhaseProfile, RoutingPolicy};
 use df_stats::FairnessReport;
-use df_topology::{NodeId, RouterId, Topology};
+use df_topology::{NodeId, Topology};
 use df_traffic::{BernoulliInjector, Traffic};
 use serde::{Deserialize, Serialize};
 
@@ -124,146 +121,9 @@ pub(crate) struct JobRuntime {
     stop: Option<u64>,
 }
 
-/// The serial engine specialized to the simulator's policy and sink.
-type SerialNet = Network<Box<dyn RoutingPolicy + Send>, MeasurementSink>;
-/// The group-sharded engine specialized the same way.
-type ShardedNet = ShardedNetwork<Box<dyn RoutingPolicy + Send>, MeasurementSink>;
-
-/// The simulator's execution engine: the serial [`Network`] when the
-/// resolved shard count is 1 (bit-for-bit the pre-sharding behaviour),
-/// the group-sharded [`ShardedNetwork`] otherwise. Same-seed output is
-/// identical either way — the sharded engine's cycle-barrier merge
-/// replays cross-shard traffic in the serial engine's order — so which
-/// variant runs is purely an operational choice.
-// One Engine exists per run and it lives on the Simulator, not in
-// collections, so the variant size gap costs nothing; boxing the serial
-// network would put an indirection on every step of the common path.
-#[allow(clippy::large_enum_variant)]
-pub enum Engine {
-    /// Single-threaded engine (`shards == 1`).
-    Serial(SerialNet),
-    /// Group-sharded engine (`shards > 1`, clamped to the group count).
-    Sharded(ShardedNet),
-}
-
-macro_rules! fwd {
-    ($self:expr, $net:ident => $e:expr) => {
-        match $self {
-            Engine::Serial($net) => $e,
-            Engine::Sharded($net) => $e,
-        }
-    };
-}
-
-impl Engine {
-    /// Advance one cycle.
-    #[inline]
-    pub fn step(&mut self) {
-        fwd!(self, n => n.step())
-    }
-
-    /// Advance one cycle, accumulating the per-phase wall-clock breakdown.
-    pub fn step_timed(&mut self, profile: &mut PhaseProfile) {
-        fwd!(self, n => n.step_timed(profile))
-    }
-
-    /// Offer a packet at `src` towards `dst`; `false` if the queue is full.
-    #[inline]
-    pub fn offer(&mut self, src: NodeId, dst: NodeId) -> bool {
-        fwd!(self, n => n.offer(src, dst))
-    }
-
-    /// Current cycle.
-    pub fn cycle(&self) -> u64 {
-        fwd!(self, n => n.cycle())
-    }
-
-    /// The topology.
-    pub fn topology(&self) -> &Topology {
-        fwd!(self, n => n.topology())
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> &EngineConfig {
-        fwd!(self, n => n.config())
-    }
-
-    /// Aggregate counters, by value: the serial engine's are cloned, the
-    /// sharded engine's are merged across shards into global-size vectors.
-    pub fn counters(&self) -> Counters {
-        match self {
-            Engine::Serial(n) => n.counters().clone(),
-            Engine::Sharded(n) => n.counters(),
-        }
-    }
-
-    /// Zero the counters (start of a measurement window).
-    pub fn reset_counters(&mut self) {
-        fwd!(self, n => n.reset_counters())
-    }
-
-    /// The stats sink.
-    pub fn sink(&self) -> &MeasurementSink {
-        fwd!(self, n => n.sink())
-    }
-
-    /// Mutable access to the stats sink.
-    pub fn sink_mut(&mut self) -> &mut MeasurementSink {
-        fwd!(self, n => n.sink_mut())
-    }
-
-    /// Packets in flight (accepted but not yet delivered).
-    pub fn in_flight(&self) -> u64 {
-        fwd!(self, n => n.in_flight())
-    }
-
-    /// Ready, unparked input-VC heads (allocator-load gauge).
-    pub fn probe_ready_total(&self) -> u64 {
-        fwd!(self, n => n.probe_ready_total())
-    }
-
-    /// Sum of all output ports' congestion epochs.
-    pub fn port_epoch_sum(&self) -> u64 {
-        fwd!(self, n => n.port_epoch_sum())
-    }
-
-    /// A router's state (diagnostics).
-    pub fn router(&self, id: RouterId) -> &RouterState {
-        fwd!(self, n => n.router(id))
-    }
-
-    /// Snapshot a live packet by the arena handle a router at `router`
-    /// holds for it. Arena handles are per-shard, so the owning router
-    /// disambiguates which arena to look in; the serial engine has one
-    /// arena and ignores `router`.
-    pub fn packet_at(&self, router: RouterId, id: PacketId) -> Packet {
-        match self {
-            Engine::Serial(n) => n.packet(id),
-            Engine::Sharded(n) => n.packet_at(router, id),
-        }
-    }
-
-    /// How many shards the engine runs (1 for the serial engine).
-    pub fn shard_count(&self) -> u32 {
-        match self {
-            Engine::Serial(_) => 1,
-            Engine::Sharded(n) => n.shard_count(),
-        }
-    }
-
-    /// Helper threads the engine's shard pool holds (0 for the serial
-    /// engine, before the first step, and inside a parallel worker).
-    pub fn helpers(&self) -> usize {
-        match self {
-            Engine::Serial(_) => 0,
-            Engine::Sharded(n) => n.helpers(),
-        }
-    }
-}
-
 /// A configured, steppable simulation.
 pub struct Simulator {
-    net: Engine,
+    net: Network<Box<dyn RoutingPolicy + Send>, MeasurementSink>,
     traffic: Box<dyn Traffic>,
     injector: BernoulliInjector,
     cfg: SimConfig,
@@ -298,18 +158,13 @@ impl Simulator {
         let traffic = cfg.pattern.build(cfg.params, derive_seed(cfg.seed, 1));
         let injector =
             BernoulliInjector::new(cfg.load, engine_cfg.packet_size, derive_seed(cfg.seed, 2));
-        let shards = cfg.resolved_shards().min(cfg.params.groups());
-        let net = if shards <= 1 {
-            Engine::Serial(Network::new(topo, engine_cfg, policy, MeasurementSink::new()))
-        } else {
-            Engine::Sharded(ShardedNetwork::new(
-                topo,
-                engine_cfg,
-                policy,
-                MeasurementSink::new(),
-                shards,
-            ))
-        };
+        let net = Network::new(
+            topo,
+            engine_cfg,
+            policy,
+            MeasurementSink::new(),
+            cfg.resolved_shards(),
+        );
         Self {
             net,
             traffic,
@@ -330,15 +185,7 @@ impl Simulator {
     /// too, so [`Simulator::set_jobs`] attribution also works for runs
     /// driven by [`Simulator::run`]/`step` rather than `step_network`.
     pub fn step(&mut self) {
-        if self.next_arrival < self.arrivals.len() || self.next_departure < self.departures.len()
-        {
-            self.process_job_lifecycle();
-        }
-        self.generate();
-        self.net.step();
-        if let Some(rec) = &mut self.timeline {
-            rec.tick(self.net.cycle(), &self.net, &self.jobs);
-        }
+        self.advance(true, None);
     }
 
     /// Advance one cycle like [`Self::step`], accumulating the engine's
@@ -346,13 +193,25 @@ impl Simulator {
     /// allocate / transmit) into `profile`. Generation time is not part
     /// of the engine cycle and is excluded. Used by `dbg_bottleneck` to
     /// direct hot-path work.
-    pub fn step_profiled(&mut self, profile: &mut df_engine::PhaseProfile) {
+    pub fn step_profiled(&mut self, profile: &mut PhaseProfile) {
+        self.advance(true, Some(profile));
+    }
+
+    /// The one step body: job arrivals and departures due at the current
+    /// cycle, Bernoulli generation if `generate`, the engine cycle (timed
+    /// into `profile` if given), then the timeline tick.
+    fn advance(&mut self, generate: bool, profile: Option<&mut PhaseProfile>) {
         if self.next_arrival < self.arrivals.len() || self.next_departure < self.departures.len()
         {
             self.process_job_lifecycle();
         }
-        self.generate();
-        self.net.step_timed(profile);
+        if generate {
+            self.generate();
+        }
+        match profile {
+            Some(profile) => self.net.step_timed(profile),
+            None => self.net.step(),
+        }
         if let Some(rec) = &mut self.timeline {
             rec.tick(self.net.cycle(), &self.net, &self.jobs);
         }
@@ -496,14 +355,7 @@ impl Simulator {
     /// cycle are processed first.
     #[inline]
     pub fn step_network(&mut self) {
-        if self.next_arrival < self.arrivals.len() || self.next_departure < self.departures.len()
-        {
-            self.process_job_lifecycle();
-        }
-        self.net.step();
-        if let Some(rec) = &mut self.timeline {
-            rec.tick(self.net.cycle(), &self.net, &self.jobs);
-        }
+        self.advance(false, None);
     }
 
     /// Start the measurement window: zero the counters (including per-job
@@ -537,7 +389,7 @@ impl Simulator {
     }
 
     /// Read-only access to the underlying engine (examples, tests).
-    pub fn network(&self) -> &Engine {
+    pub fn network(&self) -> &Network<Box<dyn RoutingPolicy + Send>, MeasurementSink> {
         &self.net
     }
 

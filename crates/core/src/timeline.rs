@@ -16,15 +16,16 @@
 //! [`crate::Simulator::set_timeline_sink`] (the `--timeline out.jsonl`
 //! CLI surface).
 
-use crate::sim::{Engine, JobRuntime};
-use df_engine::TelemetrySpec;
+use crate::sim::JobRuntime;
+use crate::sink::MeasurementSink;
+use df_engine::{Network, RoutingPolicy, TelemetrySpec};
 use df_stats::WindowSeries;
 use serde::{Deserialize, Serialize};
 
 /// The network type the recorder samples from: the simulator's engine
-/// (serial or sharded — the counters it reads are merged identically
-/// either way).
-type Net = Engine;
+/// (its counters are merged across shards, so they read the same at
+/// every shard count).
+type Net = Network<Box<dyn RoutingPolicy + Send>, MeasurementSink>;
 
 /// One job's slice of a timeline window. All rates are normalized over
 /// the *full* window span and the job's node count; a job that is dormant

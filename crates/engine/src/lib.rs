@@ -34,7 +34,6 @@ pub use arena::{PacketArena, PacketCold, PacketId};
 pub use buffer::{OutputBuffer, Staged, VcBuffer};
 pub use config::{ArbiterPolicy, EngineConfig, TelemetrySpec};
 pub use network::{Counters, Network, PhaseProfile};
-pub use shard::{RecordQueue, ShardedNetwork};
 pub use packet::{
     Decision, DeliveredRecord, Packet, PacketHeader, PacketSeq, Phase, RouteDep, RouteInfo,
     WaitBreakdown,

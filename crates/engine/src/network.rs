@@ -1,68 +1,55 @@
-//! The assembled network: nodes, routers, links, and the per-cycle
-//! simulation loop (event delivery → injection → allocation → output).
+//! The network: one simulation, split into a [`ShardPlan`]'s contiguous
+//! group ranges, and the one cycle body that steps it.
 //!
-//! Packets live in a structure-of-arrays [`PacketArena`]; every queue and
-//! link event carries a `u32` [`PacketId`] handle, so the steady-state hot
-//! path performs no per-packet heap allocation and the allocator's
-//! per-candidate probe touches only the hot `eligible_at`/`decision`
-//! lanes. Scheduling is **work-list driven**: the engine maintains
-//! bitsets of nodes with queued packets, routers with resident input
-//! packets, and routers with staged output packets, so the inject /
-//! allocate / transmit phases iterate only over entities that can make
-//! progress this cycle instead of scanning the whole network (at paper
-//! scale under ADVc most routers are idle most cycles). All work lists
-//! are iterated in ascending index order, which keeps event-queue
-//! insertion order — and therefore same-seed results — bit-identical to
-//! the full scans they replace. The allocator additionally consults
-//! per-port ready-VC bitmasks and per-router ready-output masks, and the
-//! engine tracks which routers' global-link queues changed each cycle so
-//! policies like PiggyBack can refresh their congestion view
-//! incrementally (see [`CycleCtx`]).
+//! Each shard (crate-private `Shard`) owns its group range's routers,
+//! nodes, event wheel and packet arena. A network of one shard is the
+//! serial simulator; more shards run the same cycle **phase-major** —
+//! every shard runs phase *k* before any shard runs phase *k+1* — so the
+//! deliver → policy → inject → allocate → transmit order holds
+//! network-wide at any shard count. The shard-local phases (deliver,
+//! inject, transmit) are one dispatch each to a persistent
+//! [`rayon::Pool`], created on the first step and joined on drop: the
+//! stepping thread works on shards itself and up to S−1 helper threads
+//! from the process-wide budget take the rest (with one shard, or inside
+//! a sweep worker, every dispatch runs inline). The phases that touch
+//! the single shared routing policy (its RNG and congestion tables) run
+//! shard by shard in ascending order, which is ascending router order —
+//! the same schedule as one shard. Which thread runs a shard-local phase
+//! never affects output.
+//!
+//! Cross-shard traffic exists only on global links (groups are whole
+//! within a shard): transiting flits and upstream credit returns. Both
+//! are staged in per-shard outboxes during the parallel phases and
+//! exchanged at the end-of-cycle barrier in deterministic ascending
+//! (source shard, router, port) order — the order the sending phase
+//! produced them. Every event class over one physical link has a single
+//! fixed source router, so per-(destination, port, direction) FIFO order
+//! matches the event-wheel insertion order of one shard, and effects
+//! across different ports commute; same-seed output is therefore
+//! bit-identical for any shard count (see docs/DETERMINISM.md).
+//!
+//! Delivered-packet records are staged per shard and drained into the
+//! network's [`StatsSink`] at the same barrier, ascending by shard.
+//! Ejection latency is uniform, so all records of one cycle were
+//! scheduled in the same earlier cycle in ascending (router, port) order
+//! — the concatenation of the shard queues *is* the one-shard delivery
+//! order, keeping float accumulation identical.
 
-use crate::arena::{PacketArena, PacketId};
-use crate::buffer::Staged;
-use crate::config::{ArbiterPolicy, EngineConfig};
-use crate::events::{Event, EventWheel};
-use crate::packet::{DeliveredRecord, Packet, PacketSeq, RouteDep};
-#[cfg(any(debug_assertions, feature = "shadow-verify"))]
-use crate::packet::Decision;
-use crate::policy::{CycleCtx, RoutingPolicy, StatsSink};
+use crate::arena::PacketId;
+use crate::config::EngineConfig;
+use crate::packet::{Packet, PacketSeq};
+use crate::policy::{RoutingPolicy, StatsSink};
 use crate::router::RouterState;
-use crate::shard::{RemoteCredit, RemoteFlit, ShardOutbox};
-use df_topology::{NodeId, Port, PortKind, PortLayout, PortTarget, RouterId, Topology};
+use crate::shard::{Shard, ShardOutbox};
+use df_topology::{NodeId, RouterId, ShardPlan, Topology};
+use rayon::Pool;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
-use std::ops::Range;
-use std::time::Instant;
-
-// ----------------------------------------------------------------------
-// Work-list bitsets (u64 words, ascending-order iteration)
-// ----------------------------------------------------------------------
-
-/// Words needed for an `n`-bit set.
-#[inline]
-fn bitset_words(n: usize) -> usize {
-    n.div_ceil(64)
-}
-
-#[inline]
-fn set_bit(words: &mut [u64], i: usize) {
-    words[i >> 6] |= 1 << (i & 63);
-}
-
-#[inline]
-fn clear_bit(words: &mut [u64], i: usize) {
-    words[i >> 6] &= !(1 << (i & 63));
-}
-
-#[inline]
-fn get_bit(words: &[u64], i: usize) -> bool {
-    words[i >> 6] & (1 << (i & 63)) != 0
-}
+use std::time::{Duration, Instant};
 
 /// Wall-clock time spent in each phase of [`Network::step_timed`],
 /// accumulated across cycles. Drives the `dbg_bottleneck` per-phase
-/// breakdown; the regular [`Network::step`] takes no timing overhead.
+/// breakdown and the benchmark's per-layer metrics; [`Network::step`]
+/// runs the same cycle without reading the clock.
 #[derive(Debug, Default, Clone, Copy, Serialize, Deserialize)]
 pub struct PhaseProfile {
     /// Event-wheel drain: link arrivals and credit returns.
@@ -73,16 +60,18 @@ pub struct PhaseProfile {
     pub inject_ns: u64,
     /// Switch allocation across all active routers.
     pub allocate_ns: u64,
-    /// Output-buffer → link transmissions (sharded engine: including the
-    /// cross-shard barrier exchange).
+    /// Output-buffer → link transmissions, including the end-of-cycle
+    /// barrier.
     pub transmit_ns: u64,
-    /// Sharded engine only, informational: the cross-shard barrier
-    /// exchange, a sub-share of `transmit_ns`.
+    /// Informational, a sub-share of `transmit_ns`: the end-of-cycle
+    /// barrier — the cross-shard exchange plus handing the cycle's
+    /// delivered records to the sink (only the latter with one shard).
     #[serde(default)]
     pub barrier_ns: u64,
-    /// Sharded engine only, informational: the stepping thread's idle
-    /// time waiting for helper threads after finishing its own shards,
-    /// summed over the deliver, inject and transmit phases it is part of.
+    /// Informational: the stepping thread's idle time waiting for helper
+    /// threads after finishing its own shards, summed over the deliver,
+    /// inject and transmit phases it is part of. 0 with one shard, or
+    /// whenever the pool holds no helpers.
     #[serde(default)]
     pub wait_ns: u64,
     /// Cycles accumulated into this profile.
@@ -119,19 +108,6 @@ impl PhaseProfile {
         self.wait_ns += other.wait_ns;
         self.cycles += other.cycles;
     }
-}
-
-/// Source-side state of a compute node.
-#[derive(Debug)]
-struct NodeState {
-    /// Generated packets waiting to enter the router (bounded).
-    queue: VecDeque<PacketId>,
-    /// Credits towards the router's injection-port input buffer, per VC.
-    credits: Vec<u32>,
-    /// Round-robin pointer over injection VCs.
-    vc_rr: u32,
-    /// The node→router link is serializing until this cycle.
-    link_free_at: u64,
 }
 
 /// Aggregate counters maintained by the engine (cheap, always on).
@@ -202,253 +178,111 @@ impl Counters {
     }
 }
 
-/// Inline capacity of one output port's proposal list. Covers the whole
-/// radix of the reduced-scale networks (figure1 radix 7, small radix 11)
-/// and all non-pathological contention at paper scale (radix 23): spill
-/// needs more than `PROPOSAL_INLINE` input ports to nominate the *same*
-/// output in one allocation iteration.
-const PROPOSAL_INLINE: usize = 16;
-
-/// Fixed-capacity proposal list with a rarely-used heap spill, so the
-/// allocator's per-output scratch stays inline (one cache line of
-/// `(in_port, vc)` pairs) and never allocates in steady state.
-#[derive(Debug, Default)]
-struct ProposalList {
-    inline: [(u32, u8); PROPOSAL_INLINE],
-    len: u8,
-    /// Overflow beyond `PROPOSAL_INLINE`, preserving push order.
-    spill: Vec<(u32, u8)>,
+/// The cycle's phases, as the cycle body reports them to its clock.
+#[derive(Clone, Copy)]
+enum CyclePhase {
+    Deliver,
+    Policy,
+    Inject,
+    Allocate,
+    Transmit,
+    Barrier,
 }
 
-impl ProposalList {
-    #[inline]
-    fn clear(&mut self) {
-        self.len = 0;
-        self.spill.clear();
+/// Timing hooks of the cycle body. [`NoClock`] compiles to nothing for
+/// [`Network::step`]; [`Stopwatch`] fills a [`PhaseProfile`] for
+/// [`Network::step_timed`].
+trait PhaseClock {
+    /// The cycle's first phase starts now.
+    fn start(&mut self);
+    /// `phase` ends now; `wait` is the stepping thread's idle time at
+    /// its end, waiting for helpers.
+    fn lap(&mut self, phase: CyclePhase, wait: Duration);
+}
+
+/// The untimed clock.
+struct NoClock;
+
+impl PhaseClock for NoClock {
+    #[inline(always)]
+    fn start(&mut self) {}
+    #[inline(always)]
+    fn lap(&mut self, _: CyclePhase, _: Duration) {}
+}
+
+/// The wall clock: accumulates each phase's elapsed time.
+struct Stopwatch<'a> {
+    profile: &'a mut PhaseProfile,
+    mark: Instant,
+}
+
+impl PhaseClock for Stopwatch<'_> {
+    fn start(&mut self) {
+        self.mark = Instant::now();
     }
 
-    #[inline]
-    fn push(&mut self, entry: (u32, u8)) {
-        if (self.len as usize) < PROPOSAL_INLINE {
-            self.inline[self.len as usize] = entry;
-            self.len += 1;
-        } else {
-            self.spill.push(entry);
+    fn lap(&mut self, phase: CyclePhase, wait: Duration) {
+        let now = Instant::now();
+        let ns = (now - self.mark).as_nanos() as u64;
+        self.mark = now;
+        let p = &mut *self.profile;
+        p.wait_ns += wait.as_nanos() as u64;
+        match phase {
+            CyclePhase::Deliver => p.deliver_ns += ns,
+            CyclePhase::Policy => p.policy_ns += ns,
+            CyclePhase::Inject => p.inject_ns += ns,
+            CyclePhase::Allocate => p.allocate_ns += ns,
+            CyclePhase::Transmit => p.transmit_ns += ns,
+            CyclePhase::Barrier => {
+                p.transmit_ns += ns;
+                p.barrier_ns += ns;
+                p.cycles += 1;
+            }
         }
     }
-
-    #[inline]
-    fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Proposals in push order (inline segment, then spill).
-    #[inline]
-    fn iter(&self) -> impl Iterator<Item = &(u32, u8)> {
-        self.inline[..self.len as usize].iter().chain(self.spill.iter())
-    }
 }
 
-/// A full network simulation instance — or, in sharded mode, one
-/// shard's contiguous slice of it.
-///
-/// A serial network owns every router and node (`router_base == 0`). A
-/// shard built by `Network::new_shard` owns only the routers and nodes
-/// of its group range: `routers[0]` is global router `router_base`, and
-/// every per-router/per-node array (work lists, counters, wiring cache)
-/// is indexed by the *local* offset. Events and wiring targets always
-/// carry **global** ids; the boundary between the two spaces is the
-/// `local_router` / `local_node` helpers. Traffic towards routers the
-/// slice does not own is diverted into the crate-private `ShardOutbox`
-/// and delivered by the sharded controller at the cycle barrier.
+/// One simulation over `shards` group-contiguous shards (see the module
+/// docs). Same-seed output is bit-identical for every shard count; one
+/// shard is the serial simulator.
 pub struct Network<P: RoutingPolicy, S: StatsSink> {
+    shards: Vec<Shard>,
+    /// The single shared routing policy (RNG + congestion tables),
+    /// passed through the sequential phases in ascending shard order.
+    policy: P,
+    /// The stats sink, fed at the barrier in ascending shard order.
+    sink: S,
+    plan: ShardPlan,
     topo: Topology,
     cfg: EngineConfig,
-    routers: Vec<RouterState>,
-    nodes: Vec<NodeState>,
-    wheel: EventWheel,
     cycle: u64,
-    /// Global id of `routers[0]` (0 for a serial network).
-    router_base: u32,
-    /// Global id of `nodes[0]` (0 for a serial network; always
-    /// `router_base * p` so local node index `r·p + slot` stays valid).
-    node_base: u32,
-    /// Cross-shard traffic staged for the controller's cycle barrier.
-    /// Always empty in serial mode (a serial network owns every router).
-    outbox: ShardOutbox,
-    /// Slab storing every in-flight packet.
-    arena: PacketArena,
+    /// Network-wide packet sequence counter, consumed only on accepted
+    /// offers (a full source queue consumes no sequence number).
     next_packet_seq: PacketSeq,
-    /// The routing policy. `None` only for shard slices, whose policy is
-    /// owned by the sharded controller and threaded through the
-    /// `*_with` phase variants (serial entry points take/restore it).
-    policy: Option<P>,
-    sink: S,
-    counters: Counters,
-    /// Packets accepted but not yet delivered.
-    live_packets: u64,
-    /// Wiring cache: target of every (router, port), row-major.
-    peers: Vec<PortTarget>,
-    /// Latency of the link behind every (router, port).
-    latencies: Vec<u64>,
-    /// Allocation scratch: proposals per output port, inline up to
-    /// [`PROPOSAL_INLINE`] entries.
-    proposals: Vec<ProposalList>,
-    /// Allocation scratch, persistent across cycles so the hot loop does
-    /// not allocate: remaining grant budget per input / output port.
-    alloc_in_budget: Vec<u32>,
-    alloc_out_budget: Vec<u32>,
-    /// Allocation scratch: VCs already granted this cycle, flattened
-    /// `[port * vc_stride + vc]`.
-    alloc_vc_granted: Vec<bool>,
-    /// Widest VC count any port class is configured with (flattening
-    /// stride for `alloc_vc_granted`).
-    vc_stride: usize,
-    /// Routers whose global-link queues changed since the last
-    /// `begin_cycle` (deduplicated via `global_dirty` flags).
-    global_dirty_list: Vec<u32>,
-    global_dirty: Vec<bool>,
-    /// Work list: nodes with a non-empty source queue (bit set in
-    /// `offer`, cleared when the injection phase drains the queue).
-    node_active: Vec<u64>,
-    /// Work list: routers with at least one resident input packet
-    /// (maintained exactly on `push_input` / `pop_input`); the allocate
-    /// phase visits only these.
-    alloc_active: Vec<u64>,
-    /// Work list: routers with at least one staged output packet; the
-    /// transmit phase visits only these.
-    tx_active: Vec<u64>,
-    /// Delivery cycle of the most recent grant anywhere (livelock guard).
-    last_progress: u64,
-    /// Route-decision cache switch: when on (the default), adaptive
-    /// decisions are reused while their recorded dependency is unchanged
-    /// and blocked heads with stable decisions are parked until their
-    /// target output port changes. When off, every blocked head is
-    /// re-probed every cycle — the pre-cache behavior the equivalence
-    /// tests compare against.
-    route_cache: bool,
+    /// Workers for the shard-local phases; built on the first step so
+    /// an unstepped network holds no threads.
+    pool: Option<Pool>,
 }
 
 impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
-    /// Build an idle network owning the whole topology.
+    /// Build an idle network split into `shards` shards (clamped to
+    /// `1..=groups`; 1 is the serial simulator).
     ///
     /// # Panics
     /// Panics if `cfg` fails validation.
-    pub fn new(topo: Topology, cfg: EngineConfig, policy: P, sink: S) -> Self {
-        let routers = 0..topo.params().routers();
-        let nodes = 0..topo.params().nodes();
-        Self::new_slice(topo, cfg, Some(policy), sink, routers, nodes)
-    }
-
-    /// Build a shard slice owning only `router_range` / `node_range`
-    /// (contiguous, group-aligned). The policy stays with the sharded
-    /// controller, which threads it through the `*_with` phase variants.
-    pub(crate) fn new_shard(
-        topo: Topology,
-        cfg: EngineConfig,
-        sink: S,
-        router_range: Range<u32>,
-        node_range: Range<u32>,
-    ) -> Self {
-        Self::new_slice(topo, cfg, None, sink, router_range, node_range)
-    }
-
-    fn new_slice(
-        topo: Topology,
-        cfg: EngineConfig,
-        policy: Option<P>,
-        sink: S,
-        router_range: Range<u32>,
-        node_range: Range<u32>,
-    ) -> Self {
+    pub fn new(topo: Topology, cfg: EngineConfig, policy: P, sink: S, shards: u32) -> Self {
         cfg.validate().expect("invalid engine config");
-        let params = *topo.params();
-        let radix = params.radix();
-        // Group-aligned slices keep the local `router·p + slot` node
-        // indexing of the fairness counters valid.
-        debug_assert_eq!(node_range.start, router_range.start * params.p);
-        debug_assert_eq!(node_range.end, router_range.end * params.p);
-        let routers: Vec<RouterState> = router_range
-            .clone()
-            .map(|r| RouterState::new(RouterId(r), &params, &cfg))
+        let plan = ShardPlan::new(*topo.params(), shards);
+        let shards = (0..plan.shards())
+            .map(|s| Shard::new(topo.clone(), cfg, plan.router_range(s), plan.node_range(s)))
             .collect();
-        let nodes: Vec<NodeState> = node_range
-            .clone()
-            .map(|_| NodeState {
-                queue: VecDeque::new(),
-                credits: vec![cfg.injection_input_buffer; cfg.vcs_injection as usize],
-                vc_rr: 0,
-                link_free_at: 0,
-            })
-            .collect();
-        let mut peers = Vec::with_capacity(routers.len() * radix as usize);
-        let mut latencies = Vec::with_capacity(peers.capacity());
-        for r in router_range.clone() {
-            for q in 0..radix {
-                let port = Port(q);
-                peers.push(topo.port_target(RouterId(r), port));
-                latencies.push(match params.port_kind(port) {
-                    PortKind::Injection => cfg.injection_link_latency,
-                    PortKind::Local => cfg.local_link_latency,
-                    PortKind::Global => cfg.global_link_latency,
-                });
-            }
-        }
-        let wheel = EventWheel::new(cfg.max_event_delay());
-        let n_routers = routers.len();
-        let n_nodes = nodes.len();
-        let vc_stride = cfg.vcs_injection.max(cfg.vcs_local).max(cfg.vcs_global) as usize;
-        Self {
-            topo,
-            cfg,
-            routers,
-            nodes,
-            wheel,
-            cycle: 0,
-            router_base: router_range.start,
-            node_base: node_range.start,
-            outbox: ShardOutbox::default(),
-            arena: PacketArena::new(),
-            next_packet_seq: 0,
-            policy,
-            sink,
-            counters: Counters::new(n_routers, n_nodes),
-            live_packets: 0,
-            peers,
-            latencies,
-            proposals: (0..radix).map(|_| ProposalList::default()).collect(),
-            alloc_in_budget: vec![0; radix as usize],
-            alloc_out_budget: vec![0; radix as usize],
-            alloc_vc_granted: vec![false; radix as usize * vc_stride],
-            vc_stride,
-            global_dirty_list: Vec::new(),
-            global_dirty: vec![false; n_routers],
-            node_active: vec![0; bitset_words(n_nodes)],
-            alloc_active: vec![0; bitset_words(n_routers)],
-            tx_active: vec![0; bitset_words(n_routers)],
-            last_progress: 0,
-            route_cache: true,
-        }
+        Self { shards, policy, sink, plan, topo, cfg, cycle: 0, next_packet_seq: 0, pool: None }
     }
 
-    /// Whether the route-decision cache (adaptive decision reuse +
-    /// blocked-head parking) is enabled. On by default.
+    /// Number of shards (after clamping).
     #[inline]
-    pub fn route_cache_enabled(&self) -> bool {
-        self.route_cache
-    }
-
-    /// Toggle the route-decision cache. Both settings produce
-    /// bit-identical simulations; disabling merely restores the
-    /// probe-every-blocked-head-every-cycle schedule, for equivalence
-    /// tests and debugging. Disabling unparks every head.
-    pub fn set_route_cache(&mut self, on: bool) {
-        self.route_cache = on;
-        if !on {
-            for r in &mut self.routers {
-                r.unpark_all();
-            }
-        }
+    pub fn shard_count(&self) -> u32 {
+        self.plan.shards()
     }
 
     /// Current simulation cycle.
@@ -469,12 +303,6 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
         &self.cfg
     }
 
-    /// Engine counters since the last [`Self::reset_counters`].
-    #[inline]
-    pub fn counters(&self) -> &Counters {
-        &self.counters
-    }
-
     /// The stats sink (for result extraction).
     #[inline]
     pub fn sink(&self) -> &S {
@@ -488,300 +316,162 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
     }
 
     /// The routing policy.
-    ///
-    /// # Panics
-    /// Panics on a shard slice, whose policy lives with the controller.
     #[inline]
     pub fn policy(&self) -> &P {
-        self.policy.as_ref().expect("policy detached (shard slice)")
-    }
-
-    /// Local index of a (globally identified) owned router.
-    #[inline]
-    fn local_router(&self, r: RouterId) -> usize {
-        debug_assert!(self.owns_router(r), "router {} not owned by this slice", r.0);
-        (r.0 - self.router_base) as usize
-    }
-
-    /// Local index of a (globally identified) owned node.
-    #[inline]
-    fn local_node(&self, n: NodeId) -> usize {
-        let local = n.0.wrapping_sub(self.node_base) as usize;
-        debug_assert!(local < self.nodes.len(), "node {} not owned by this slice", n.0);
-        local
-    }
-
-    /// Whether this slice owns `r` (always true for a serial network).
-    #[inline]
-    fn owns_router(&self, r: RouterId) -> bool {
-        (r.0.wrapping_sub(self.router_base) as usize) < self.routers.len()
+        &self.policy
     }
 
     /// Packets accepted but not yet delivered.
-    #[inline]
     pub fn in_flight(&self) -> u64 {
-        self.live_packets
-    }
-
-    /// Packets currently resident in the arena (must equal
-    /// [`Self::in_flight`]; zero after a full drain — the leak check).
-    #[inline]
-    pub fn arena_live(&self) -> usize {
-        self.arena.live()
-    }
-
-    /// Arena slots ever allocated (the peak in-flight population).
-    #[inline]
-    pub fn arena_capacity(&self) -> usize {
-        self.arena.capacity()
-    }
-
-    /// Resolve a packet handle to a joined snapshot of its hot and cold
-    /// arena lanes (diagnostics; handles come from [`RouterState::head`]).
-    #[inline]
-    pub fn packet(&self, id: PacketId) -> Packet {
-        self.arena.snapshot(id)
+        self.shards.iter().map(Shard::in_flight).sum()
     }
 
     /// Events (packets and credits) currently traversing links.
-    #[inline]
     pub fn events_pending(&self) -> usize {
-        self.wheel.pending()
+        self.shards.iter().map(Shard::events_pending).sum()
     }
 
-    /// Read access to a router's state (congestion probes, diagnostics).
-    #[inline]
-    pub fn router(&self, id: RouterId) -> &RouterState {
-        &self.routers[self.local_router(id)]
+    /// Packets resident in the arenas (must equal [`Self::in_flight`];
+    /// zero after a full drain — the leak check).
+    pub fn arena_live(&self) -> usize {
+        self.shards.iter().map(Shard::arena_live).sum()
     }
 
-    /// Zero the measurement counters (start of the measurement window).
-    pub fn reset_counters(&mut self) {
-        self.counters = Counters::new(self.routers.len(), self.nodes.len());
+    /// Arena slots ever allocated, summed across shards (the peak
+    /// in-flight population).
+    pub fn arena_capacity(&self) -> usize {
+        self.shards.iter().map(Shard::arena_capacity).sum()
     }
 
     /// Ready, unparked input-VC heads across all routers — the allocator
     /// workload gauge. O(routers); intended for per-window telemetry
     /// sampling, not the per-cycle hot path.
     pub fn probe_ready_total(&self) -> u64 {
-        self.routers.iter().map(|r| r.probe_ready() as u64).sum()
+        self.shards.iter().map(Shard::probe_ready_total).sum()
     }
 
     /// Sum of every output port's epoch counter across all routers.
     /// Windowed deltas of this sum count route-cache invalidation churn
     /// (port-epoch bumps). O(routers × radix); telemetry sampling only.
     pub fn port_epoch_sum(&self) -> u64 {
-        let radix = self.topo.params().radix() as usize;
-        self.routers
-            .iter()
-            .map(|r| {
-                (0..radix).map(|p| r.port_epoch(Port(p as u32)) as u64).sum::<u64>()
-            })
-            .sum()
+        self.shards.iter().map(Shard::port_epoch_sum).sum()
+    }
+
+    /// Cycles since any packet anywhere won switch allocation. Large
+    /// values while traffic is in flight indicate deadlock/livelock.
+    pub fn cycles_since_progress(&self) -> u64 {
+        let latest = self.shards.iter().map(Shard::last_progress).max().unwrap_or(0);
+        self.cycle - latest
+    }
+
+    /// Read access to a router's state (congestion probes, diagnostics).
+    pub fn router(&self, id: RouterId) -> &RouterState {
+        self.shard_of_router(id).router(id)
+    }
+
+    /// Resolve a packet handle read from `router` (e.g. via
+    /// [`RouterState::head`]) to a joined snapshot of its hot and cold
+    /// arena lanes. Handles are per shard, so the router names the arena.
+    pub fn packet_at(&self, router: RouterId, id: PacketId) -> Packet {
+        self.shard_of_router(router).packet(id)
+    }
+
+    fn shard_of_router(&self, id: RouterId) -> &Shard {
+        &self.shards[self.plan.shard_of_router(id) as usize]
+    }
+
+    /// Engine counters since the last [`Self::reset_counters`], merged
+    /// across shards: scalars sum, per-router and per-node vectors splice
+    /// at the shards' base offsets, and `cycles` (which every shard
+    /// advances identically) is taken from shard 0.
+    pub fn counters(&self) -> Counters {
+        let params = self.topo.params();
+        let mut merged = Counters::new(params.routers() as usize, params.nodes() as usize);
+        for (s, sh) in self.shards.iter().enumerate() {
+            merged.merge_shard(
+                sh.counters(),
+                self.plan.router_range(s as u32).start as usize,
+                self.plan.node_range(s as u32).start as usize,
+            );
+        }
+        merged.cycles = self.shards[0].counters().cycles;
+        merged
+    }
+
+    /// Zero the measurement counters (start of the measurement window).
+    pub fn reset_counters(&mut self) {
+        for sh in &mut self.shards {
+            sh.reset_counters();
+        }
     }
 
     /// Offer a packet for generation at `src` towards `dst`. Returns
     /// `false` (and drops it) if the source queue is full — the offer is
     /// still counted as offered load.
     pub fn offer(&mut self, src: NodeId, dst: NodeId) -> bool {
-        let seq = self.next_packet_seq;
-        if self.offer_with_seq(src, dst, seq) {
-            self.next_packet_seq += 1;
-            true
-        } else {
-            false
-        }
+        let s = self.plan.shard_of_node(src) as usize;
+        let accepted = self.shards[s].offer(src, dst, self.next_packet_seq);
+        self.next_packet_seq += accepted as PacketSeq;
+        accepted
     }
 
-    /// [`Self::offer`] with an externally supplied packet sequence
-    /// number. The sharded controller owns the global sequence counter
-    /// (so packet ids match the serial engine byte-for-byte) and advances
-    /// it only when the offer is accepted — exactly the serial contract,
-    /// where a full source queue consumes no sequence number.
-    pub(crate) fn offer_with_seq(&mut self, src: NodeId, dst: NodeId, seq: PacketSeq) -> bool {
-        self.counters.offered_packets += 1;
-        let n = self.local_node(src);
-        if self.nodes[n].queue.len() >= self.cfg.max_node_queue {
-            return false;
+    /// Helper threads this network's pool holds (0 before the first
+    /// step, with one shard, on one core, or when built inside a parallel
+    /// worker).
+    pub fn helpers(&self) -> usize {
+        self.pool.as_ref().map_or(0, Pool::helpers)
+    }
+
+    /// Toggle the route-decision cache (adaptive decision reuse +
+    /// blocked-head parking; on by default). Both settings produce
+    /// bit-identical simulations; disabling merely restores the
+    /// probe-every-blocked-head-every-cycle schedule, for equivalence
+    /// tests and debugging. Disabling unparks every head.
+    pub fn set_route_cache(&mut self, on: bool) {
+        for sh in &mut self.shards {
+            sh.set_route_cache(on);
         }
-        let group = src.group(self.topo.params());
-        // The earliest the node can act on this packet is the next cycle,
-        // so that is its generation timestamp.
-        let gen = self.cycle + 1;
-        let id = self
-            .arena
-            .insert(Packet::new(seq, src, dst, self.cfg.packet_size, gen, group));
-        self.nodes[n].queue.push_back(id);
-        set_bit(&mut self.node_active, n);
-        self.counters.accepted_packets += 1;
-        self.live_packets += 1;
-        true
     }
 
     /// Advance the simulation by one cycle.
     pub fn step(&mut self) {
-        let mut policy = self.policy.take().expect("policy detached (shard slice)");
-        self.cycle += 1;
-        self.counters.cycles += 1;
-        self.deliver_events();
-        self.run_policy_begin_with(&mut policy);
-        self.inject_from_nodes();
-        self.allocate_all_with(&mut policy);
-        self.transmit_all();
-        self.policy = Some(policy);
+        self.advance(&mut NoClock);
     }
 
     /// Advance one cycle like [`Self::step`], accumulating per-phase
     /// wall-clock time into `profile` (diagnostics; the untimed `step`
-    /// pays no instrumentation cost).
+    /// never reads the clock).
     pub fn step_timed(&mut self, profile: &mut PhaseProfile) {
-        let mut policy = self.policy.take().expect("policy detached (shard slice)");
+        self.advance(&mut Stopwatch { profile, mark: Instant::now() });
+    }
+
+    /// The cycle body, phase-major across shards. The shard-local phases
+    /// go to the pool; the two that take the policy run in ascending
+    /// shard order (== ascending router order), so the policy's RNG and
+    /// state are consumed exactly as with one shard.
+    fn advance(&mut self, clock: &mut impl PhaseClock) {
         self.cycle += 1;
-        self.counters.cycles += 1;
-        let t0 = Instant::now();
-        self.deliver_events();
-        let t1 = Instant::now();
-        self.run_policy_begin_with(&mut policy);
-        let t2 = Instant::now();
-        self.inject_from_nodes();
-        let t3 = Instant::now();
-        self.allocate_all_with(&mut policy);
-        let t4 = Instant::now();
-        self.transmit_all();
-        let t5 = Instant::now();
-        self.policy = Some(policy);
-        profile.deliver_ns += (t1 - t0).as_nanos() as u64;
-        profile.policy_ns += (t2 - t1).as_nanos() as u64;
-        profile.inject_ns += (t3 - t2).as_nanos() as u64;
-        profile.allocate_ns += (t4 - t3).as_nanos() as u64;
-        profile.transmit_ns += (t5 - t4).as_nanos() as u64;
-        profile.cycles += 1;
-    }
-
-    // ------------------------------------------------------------------
-    // Shard-controller phase surface: one serial cycle is exactly
-    // `begin_cycle_bump; deliver; policy_begin; inject; allocate;
-    // transmit` — the controller runs the same phases across all shards
-    // in phase-major order, threading the single policy through the
-    // `*_with` variants during the sequential phases.
-    // ------------------------------------------------------------------
-
-    /// Advance the local cycle counter (start of a controller-driven cycle).
-    pub(crate) fn begin_cycle_bump(&mut self) {
-        self.cycle += 1;
-        self.counters.cycles += 1;
-    }
-
-    /// Event-delivery phase (shard-local state only).
-    pub(crate) fn phase_deliver(&mut self) {
-        self.deliver_events();
-    }
-
-    /// Injection phase (shard-local state only).
-    pub(crate) fn phase_inject(&mut self) {
-        self.inject_from_nodes();
-    }
-
-    /// Transmit phase (cross-shard flits land in the outbox).
-    pub(crate) fn phase_transmit(&mut self) {
-        self.transmit_all();
-    }
-
-    /// Take the staged cross-shard traffic (leaves the outbox empty).
-    pub(crate) fn take_outbox(&mut self) -> ShardOutbox {
-        std::mem::take(&mut self.outbox)
-    }
-
-    /// Whether no cross-shard traffic is staged (always true between
-    /// barriers, and always true in serial mode).
-    pub(crate) fn outbox_is_empty(&self) -> bool {
-        self.outbox.is_empty()
-    }
-
-    /// Deliver a credit return that crossed the shard boundary. Called at
-    /// the cycle barrier, when the local wheel sits at the same cycle the
-    /// sender's did when it would have scheduled the event — so the delay
-    /// lands it in exactly the serial engine's slot.
-    pub(crate) fn accept_remote_credit(&mut self, c: RemoteCredit) {
-        debug_assert!(self.owns_router(c.router));
-        self.wheel.schedule(
-            c.delay,
-            Event::Credit { router: c.router, port: c.port, vc: c.vc, phits: c.phits },
-        );
-    }
-
-    /// Deliver a flit that crossed the shard boundary: re-home the packet
-    /// into the local arena and schedule its arrival. The arena insert
-    /// preserves everything behavior-visible (header with its global
-    /// sequence id, route state, waits, traversal, eligibility); only the
-    /// `PacketId` handle is shard-local, and handles never appear in
-    /// results.
-    pub(crate) fn accept_remote_flit(&mut self, f: RemoteFlit) {
-        debug_assert!(self.owns_router(f.router));
-        let id = self.arena.insert(f.packet);
-        self.live_packets += 1;
-        self.wheel.schedule(
-            f.delay,
-            Event::ArriveRouter { router: f.router, port: f.port, vc: f.vc, pkt: id, size: f.size },
-        );
-    }
-
-    /// Delivery cycle of the most recent grant in this slice.
-    pub(crate) fn last_progress(&self) -> u64 {
-        self.last_progress
-    }
-
-    /// Run the policy's per-cycle hook and retire the dirty-router list.
-    /// The context's router slice and dirty indices are both local to
-    /// this slice; policies index their own tables by `RouterState::id`,
-    /// which stays global, so partitioned calls across shards are
-    /// equivalent to one whole-network call.
-    pub(crate) fn run_policy_begin_with(&mut self, policy: &mut P) {
-        policy.begin_cycle(&CycleCtx {
-            routers: &self.routers,
-            cycle: self.cycle,
-            dirty_global: &self.global_dirty_list,
+        let pool = self.pool.get_or_insert_with(|| Pool::new(self.shards.len()));
+        clock.start();
+        let wait = pool.for_each_mut(&mut self.shards, |sh| {
+            sh.begin_cycle();
+            sh.deliver_events();
         });
-        for &r in &self.global_dirty_list {
-            self.global_dirty[r as usize] = false;
+        clock.lap(CyclePhase::Deliver, wait);
+        for sh in &mut self.shards {
+            sh.run_policy_begin(&mut self.policy);
         }
-        self.global_dirty_list.clear();
-    }
-
-    /// Allocate phase over the active-router work list (ascending order —
-    /// identical side-effect order to a full `0..routers` scan, which
-    /// only no-ops on the skipped routers).
-    pub(crate) fn allocate_all_with(&mut self, policy: &mut P) {
-        for w in 0..self.alloc_active.len() {
-            // Snapshot the word: `commit_grant` may clear the current
-            // router's bit (never a later router's), and allocation
-            // cannot add input packets mid-phase.
-            let mut word = self.alloc_active[w];
-            while word != 0 {
-                let r = (w << 6) + word.trailing_zeros() as usize;
-                word &= word - 1;
-                // Every resident head parked: allocation would produce no
-                // proposals and no side effects, so skipping the router
-                // entirely is exact. This is where blocked routers drop
-                // from O(blocked heads) to O(changed ports) per cycle.
-                if self.routers[r].probe_ready() == 0 {
-                    continue;
-                }
-                self.allocate_router(r, policy);
-            }
+        clock.lap(CyclePhase::Policy, Duration::ZERO);
+        let wait = pool.for_each_mut(&mut self.shards, Shard::inject_from_nodes);
+        clock.lap(CyclePhase::Inject, wait);
+        for sh in &mut self.shards {
+            sh.allocate_all(&mut self.policy);
         }
-    }
-
-    /// Transmit phase over the staged-router work list (ascending order).
-    fn transmit_all(&mut self) {
-        for w in 0..self.tx_active.len() {
-            let mut word = self.tx_active[w];
-            while word != 0 {
-                let r = (w << 6) + word.trailing_zeros() as usize;
-                word &= word - 1;
-                self.transmit_outputs(r);
-            }
-        }
+        clock.lap(CyclePhase::Allocate, Duration::ZERO);
+        let wait = pool.for_each_mut(&mut self.shards, Shard::transmit_all);
+        clock.lap(CyclePhase::Transmit, wait);
+        self.barrier_exchange();
+        clock.lap(CyclePhase::Barrier, Duration::ZERO);
     }
 
     /// Run `n` cycles.
@@ -795,696 +485,58 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
     /// extra cycles. Returns `true` if the network drained.
     pub fn drain(&mut self, max: u64) -> bool {
         for _ in 0..max {
-            if self.live_packets == 0 {
-                debug_assert_eq!(self.arena.live(), 0, "arena leak after drain");
+            if self.in_flight() == 0 {
+                debug_assert_eq!(self.arena_live(), 0, "arena leak after drain");
                 return true;
             }
             self.step();
         }
-        self.live_packets == 0
+        self.in_flight() == 0
     }
 
-    /// Cycles since any packet anywhere won switch allocation. Large
-    /// values while traffic is in flight indicate deadlock/livelock.
-    pub fn cycles_since_progress(&self) -> u64 {
-        self.cycle - self.last_progress
-    }
-
-    /// Diagnostic: dump every blocked input-VC head (eligible but not
-    /// granted) with the resources it waits for. For debugging hangs.
-    pub fn dump_blocked(&self, max_lines: usize) {
-        let params = self.topo.params();
-        let mut lines = 0;
-        for (r, router) in self.routers.iter().enumerate() {
-            for (q, vcs) in router.inputs.iter().enumerate() {
-                for (v, buf) in vcs.iter().enumerate() {
-                    if let Some(id) = buf.front() {
-                        let p = self.arena.snapshot(id);
-                        if p.eligible_at > self.cycle {
-                            continue;
-                        }
-                        let dec = p.decision;
-                        let (free, cred) = match dec {
-                            Some(d) => (
-                                router.outputs[d.out_port.idx()].free(),
-                                router
-                                    .credits[d.out_port.idx()]
-                                    .get(d.out_vc as usize)
-                                    .copied()
-                                    .unwrap_or(u32::MAX),
-                            ),
-                            None => (0, 0),
-                        };
-                        eprintln!(
-                            "r{} in(port={q},vc={v},kind={:?}) pkt{} src={} dst={} lh={} gh={} phase={:?} dec={:?} out_free={free} out_cred={cred}",
-                            self.router_base as usize + r,
-                            params.port_kind(Port(q as u32)),
-                            p.header.id, p.header.src.0, p.header.dst.0,
-                            p.route.local_hops, p.route.global_hops, p.route.phase,
-                            dec.map(|d| (d.out_port.0, d.out_vc)),
-                        );
-                        lines += 1;
-                        if lines >= max_lines {
-                            return;
-                        }
-                    }
-                }
+    /// End-of-cycle barrier: exchange cross-shard traffic and drain the
+    /// per-shard record queues, both in ascending source-shard order.
+    /// Credits (allocate phase) are delivered before flits (transmit
+    /// phase), matching the one-shard within-cycle schedule order;
+    /// within each vector the sending phase's ascending (router, port)
+    /// push order is preserved.
+    fn barrier_exchange(&mut self) {
+        for s in 0..self.shards.len() {
+            let ShardOutbox { credits, flits } = self.shards[s].take_outbox();
+            for c in credits {
+                let t = self.plan.shard_of_router(c.router) as usize;
+                debug_assert_ne!(t, s, "outbox entry for a locally owned router");
+                self.shards[t].accept_remote_credit(c);
+            }
+            for f in flits {
+                let t = self.plan.shard_of_router(f.router) as usize;
+                debug_assert_ne!(t, s, "outbox entry for a locally owned router");
+                self.shards[t].accept_remote_flit(f);
+            }
+        }
+        for sh in &mut self.shards {
+            for rec in sh.drain_records() {
+                self.sink.on_delivered(&rec);
             }
         }
     }
 
-    /// Shadow check: verify every scheduling work list against a full
-    /// `0..routers` / `0..nodes` scan of the underlying state. Visiting
-    /// exactly the flagged entities is equivalent to the full scan iff
-    /// every unflagged entity has nothing to do — this asserts that
-    /// invariant. Panics with a diagnostic on the first divergence.
-    /// Intended for tests; cost is O(network).
+    /// Shadow check between steps: every shard is at the network's
+    /// cycle, the barrier drained every cross-shard outbox and record
+    /// queue, each shard's live-packet count equals its arena population,
+    /// and every scheduling work list matches a full scan of the state it
+    /// summarizes. Panics with a diagnostic on the first divergence.
+    /// O(network); intended for tests.
     pub fn assert_work_lists_match_full_scan(&self) {
-        for (r, router) in self.routers.iter().enumerate() {
-            assert_eq!(
-                get_bit(&self.alloc_active, r),
-                router.input_packets() > 0,
-                "alloc work list diverged from input_count at router {r}, cycle {}",
-                self.cycle
-            );
-            assert_eq!(
-                get_bit(&self.tx_active, r),
-                router.output_packets() > 0,
-                "tx work list diverged from staged_count at router {r}, cycle {}",
-                self.cycle
-            );
-            for q in 0..self.topo.params().radix() as usize {
-                assert_eq!(
-                    router.out_ready & (1 << q) != 0,
-                    !router.outputs[q].is_empty(),
-                    "ready-output mask diverged at router {r} port {q}, cycle {}",
-                    self.cycle
-                );
-            }
+        for sh in &self.shards {
+            sh.assert_work_lists_match_full_scan(self.cycle);
         }
-        for (n, node) in self.nodes.iter().enumerate() {
-            assert_eq!(
-                get_bit(&self.node_active, n),
-                !node.queue.is_empty(),
-                "node work list diverged at node {n}, cycle {}",
-                self.cycle
-            );
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Cycle phases
-    // ------------------------------------------------------------------
-
-    /// Mark `router`'s global-link queues as changed for the next
-    /// `begin_cycle` (deduplicated).
-    #[inline]
-    fn mark_global_dirty(&mut self, router: usize) {
-        if !self.global_dirty[router] {
-            self.global_dirty[router] = true;
-            self.global_dirty_list.push(router as u32);
-        }
-    }
-
-    fn deliver_events(&mut self) {
-        let mut events = self.wheel.advance();
-        debug_assert_eq!(self.wheel.now(), self.cycle);
-        for ev in events.drain(..) {
-            match ev {
-                Event::ArriveRouter { router, port, vc, pkt, size } => {
-                    // Hot lanes only: arrival never touches the cold slot.
-                    self.arena.set_eligible_at(pkt, self.cycle + self.cfg.pipeline_latency);
-                    self.arena.clear_decision(pkt);
-                    let r = self.local_router(router);
-                    let becomes_head =
-                        self.routers[r].inputs[port.idx()][vc as usize].is_empty();
-                    self.routers[r].push_input(port.idx(), vc as usize, pkt, size);
-                    // A new head still in the pipeline sleeps until its
-                    // exact eligibility cycle instead of being probed
-                    // (and rejected) every cycle in between.
-                    if becomes_head && self.cfg.pipeline_latency > 0 {
-                        self.routers[r].sleep(port.idx(), vc as usize);
-                        self.wheel.schedule(
-                            self.cfg.pipeline_latency,
-                            Event::HeadWake { router, port, vc },
-                        );
-                    }
-                    set_bit(&mut self.alloc_active, r);
-                }
-                Event::ArriveNode { node, pkt } => {
-                    self.complete_delivery(node, pkt);
-                }
-                Event::Credit { router, port, vc, phits } => {
-                    let r = self.local_router(router);
-                    self.routers[r].return_credit(port.idx(), vc as usize, phits);
-                    if self.topo.params().port_kind(port) == PortKind::Global {
-                        self.mark_global_dirty(r);
-                    }
-                }
-                Event::NodeCredit { node, vc, phits } => {
-                    let n = self.local_node(node);
-                    let c = &mut self.nodes[n].credits[vc as usize];
-                    *c += phits;
-                    debug_assert!(*c <= self.cfg.injection_input_buffer);
-                }
-                Event::HeadWake { router, port, vc } => {
-                    let r = self.local_router(router);
-                    self.routers[r].wake(port.idx(), vc as usize);
-                }
-            }
-        }
-        self.wheel.recycle(events);
-    }
-
-    fn complete_delivery(&mut self, node: NodeId, id: PacketId) {
-        let pkt = self.arena.cold(id);
-        debug_assert_eq!(pkt.header.dst, node);
-        let (min_l, min_g) = self.topo.min_path_links(pkt.header.src, pkt.header.dst);
-        let min_routers = (min_l + min_g + 1) as u64;
-        let min_traversal = self.cfg.injection_link_latency          // node → router
-            + min_routers * self.cfg.pipeline_latency                 // router pipelines
-            + min_l as u64 * self.cfg.local_link_latency
-            + min_g as u64 * self.cfg.global_link_latency
-            + self.cfg.injection_link_latency                         // router → node
-            + self.cfg.packet_size as u64;                            // serialization
-        let rec = DeliveredRecord {
-            header: pkt.header,
-            delivered_cycle: self.cycle,
-            traversal: pkt.traversal,
-            min_traversal,
-            waits: pkt.waits,
-            local_hops: pkt.route.local_hops,
-            global_hops: pkt.route.global_hops,
-        };
-        self.counters.delivered_packets += 1;
-        self.counters.delivered_phits += pkt.header.size as u64;
-        self.live_packets -= 1;
-        self.arena.free(id);
-        self.sink.on_delivered(&rec);
-    }
-
-    /// Node-side injection over the active-node work list: only nodes
-    /// with a queued packet are visited (bit set in [`Self::offer`],
-    /// cleared here once the queue drains). Ascending order keeps event
-    /// scheduling identical to the full `0..nodes` scan.
-    fn inject_from_nodes(&mut self) {
-        let params = *self.topo.params();
-        for w in 0..self.node_active.len() {
-            let mut word = self.node_active[w];
-            while word != 0 {
-                let n = (w << 6) + word.trailing_zeros() as usize;
-                word &= word - 1;
-                let node = &mut self.nodes[n];
-                debug_assert!(!node.queue.is_empty(), "idle node on work list");
-                if node.link_free_at > self.cycle {
-                    continue;
-                }
-                let size = self.cfg.packet_size;
-                // Pick an injection VC with room, round-robin for fairness.
-                let vcs = self.cfg.vcs_injection as u32;
-                let mut chosen = None;
-                for k in 0..vcs {
-                    let vc = (node.vc_rr + k) % vcs;
-                    if node.credits[vc as usize] >= size {
-                        chosen = Some(vc);
-                        break;
-                    }
-                }
-                let Some(vc) = chosen else { continue };
-                node.vc_rr = (vc + 1) % vcs;
-                node.credits[vc as usize] -= size;
-                node.link_free_at = self.cycle + size as u64;
-                let id = node.queue.pop_front().expect("checked non-empty");
-                if node.queue.is_empty() {
-                    clear_bit(&mut self.node_active, n);
-                }
-                // Source-queue time is injection wait.
-                let wait = self.cycle - self.arena.eligible_at(id);
-                let pkt = self.arena.cold_mut(id);
-                pkt.waits.injection += wait;
-                pkt.traversal += self.cfg.injection_link_latency;
-                let node_id = NodeId(self.node_base + n as u32);
-                let router = node_id.router(&params);
-                let port = params.injection_port(node_id.slot(&params));
-                self.wheel.schedule(
-                    self.cfg.injection_link_latency,
-                    Event::ArriveRouter { router, port, vc: vc as u8, pkt: id, size },
-                );
-            }
-        }
-    }
-
-    /// Separable iterative batch allocation for router `r` (local index).
-    fn allocate_router(&mut self, r: usize, policy: &mut P) {
-        // The work list only holds routers with resident input packets.
-        debug_assert!(self.routers[r].input_count > 0, "idle router on alloc work list");
-        let params = *self.topo.params();
-        let radix = params.radix() as usize;
-        let adaptive = policy.adaptive_reroute();
-        // Reset the persistent scratch (hoisted out of the hot loop so no
-        // per-router-per-cycle allocation happens): remaining grant budget
-        // per port this cycle (2× speedup), and the VCs that already won
-        // this cycle — their new head has not traversed the pipeline, so
-        // they cannot win again.
-        let vc_stride = self.vc_stride;
-        self.alloc_in_budget.fill(self.cfg.speedup);
-        self.alloc_out_budget.fill(self.cfg.speedup);
-        self.alloc_vc_granted.fill(false);
-
-        for _iter in 0..self.cfg.speedup {
-            // --- Phase 1: each input port nominates one VC head. ---
-            for q in 0..radix {
-                self.proposals[q].clear();
-            }
-            for in_port in 0..radix {
-                if self.alloc_in_budget[in_port] == 0 {
-                    continue;
-                }
-                // Ready-VC mask minus parked and sleeping VCs: a parked
-                // head's probe outcome cannot change until its target
-                // port is touched (which unparks it), and a sleeping
-                // head is ineligible until its wake event fires — so
-                // skipping both is exact.
-                let ready = self.routers[r].in_ready[in_port]
-                    & !self.routers[r].in_parked[in_port]
-                    & !self.routers[r].in_sleeping[in_port];
-                if ready == 0 {
-                    continue;
-                }
-                let vcs = self.routers[r].inputs[in_port].len() as u32;
-                let start = self.routers[r].in_rr[in_port];
-                for k in 0..vcs {
-                    let vc = ((start + k) % vcs) as usize;
-                    if ready & (1 << vc) == 0 || self.alloc_vc_granted[in_port * vc_stride + vc]
-                    {
-                        continue;
-                    }
-                    let (id, size) = self.routers[r].inputs[in_port][vc]
-                        .front_entry()
-                        .expect("ready bit set on empty VC");
-                    // Hot-lane probe: the common rejection path (head not
-                    // yet through the pipeline) reads one 8-byte lane.
-                    // With head-sleep, an awake ready head is always past
-                    // the pipeline; this probe is a cheap safety net.
-                    if self.arena.eligible_at(id) > self.cycle {
-                        debug_assert!(false, "awake head not yet eligible");
-                        continue;
-                    }
-                    // Decide routing for the head if needed — only then
-                    // is the cold slot (header + route state) read.
-                    // Non-adaptive policies keep one decision per router
-                    // visit; adaptive policies reuse their cached
-                    // decision while its recorded dependency is intact
-                    // (a dependency-valid recompute is pure and returns
-                    // the same decision, so reuse is bit-identical).
-                    let prior = self
-                        .arena
-                        .decision(id)
-                        .filter(|_| !adaptive || (self.route_cache && self.dep_valid(r, id)));
-                    let decision = match prior {
-                        Some(d) => {
-                            #[cfg(any(debug_assertions, feature = "shadow-verify"))]
-                            if adaptive {
-                                self.shadow_verify_reuse(r, in_port, vc, id, d, policy);
-                            }
-                            d
-                        }
-                        None => {
-                            let cold = self.arena.cold(id);
-                            let (hdr, info) = (cold.header, cold.route);
-                            let (d, dep) = policy.route_with_deps(
-                                &self.routers[r],
-                                Port(in_port as u32),
-                                hdr,
-                                info,
-                            );
-                            debug_assert!((d.out_port.0 as usize) < radix);
-                            self.arena.set_decision(id, d);
-                            self.arena.set_dep(id, dep);
-                            d
-                        }
-                    };
-                    if self.routers[r].can_accept(decision.out_port, decision.out_vc, size)
-                    {
-                        // Nominated: the port proposes this head (and only
-                        // this head) if the output still has grant budget.
-                        if self.alloc_out_budget[decision.out_port.idx()] > 0 {
-                            self.proposals[decision.out_port.idx()]
-                                .push((in_port as u32, vc as u8));
-                        }
-                        break;
-                    }
-                    // Blocked. Park the head if its decision cannot
-                    // change before its target port does: sticky
-                    // (non-adaptive) decisions always qualify; adaptive
-                    // ones only when their dependency is the port they
-                    // wait for. Volatile adaptive decisions must
-                    // re-probe every cycle (the recompute may pick a
-                    // different output).
-                    if self.route_cache {
-                        let stable = !adaptive
-                            || match self.arena.dep(id) {
-                                RouteDep::Always => true,
-                                RouteDep::Port { port, .. } => {
-                                    port as usize == decision.out_port.idx()
-                                }
-                                RouteDep::Volatile => false,
-                            };
-                        if stable {
-                            self.routers[r].park(in_port, vc, decision.out_port.idx());
-                        }
-                    }
-                }
-            }
-
-            // --- Phase 2: each output port grants one proposal. ---
-            let mut any = false;
-            #[allow(clippy::needless_range_loop)] // index drives three parallel arrays
-            for out_port in 0..radix {
-                if self.proposals[out_port].is_empty() || self.alloc_out_budget[out_port] == 0 {
-                    continue;
-                }
-                let winner = self.arbitrate_output(r, out_port);
-                let Some((in_port, vc)) = winner else { continue };
-                self.commit_grant(r, in_port as usize, vc as usize, out_port);
-                self.alloc_in_budget[in_port as usize] -= 1;
-                self.alloc_out_budget[out_port] -= 1;
-                self.alloc_vc_granted[in_port as usize * vc_stride + vc as usize] = true;
-                // Advance the input port's RR pointer past the winner.
-                let vcs = self.routers[r].inputs[in_port as usize].len() as u32;
-                self.routers[r].in_rr[in_port as usize] = (vc as u32 + 1) % vcs;
-                any = true;
-            }
-            if any {
-                self.last_progress = self.cycle;
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Pick the winning proposal for `out_port` under the configured
-    /// arbiter policy. Proposals were pre-filtered for feasibility, but
-    /// feasibility is re-checked at commit time by the caller via
-    /// `can_accept` (earlier grants in this cycle may have consumed space).
-    fn arbitrate_output(&mut self, r: usize, out_port: usize) -> Option<(u32, u8)> {
-        let props = &self.proposals[out_port];
-        let router = &self.routers[r];
-        let arena = &self.arena;
-        let still_feasible = |&(ip, vc): &(u32, u8)| -> bool {
-            match router.inputs[ip as usize][vc as usize].front_entry() {
-                Some((id, size)) => match arena.decision(id) {
-                    Some(d) => router.can_accept(d.out_port, d.out_vc, size),
-                    None => false,
-                },
-                None => false,
-            }
-        };
-        let params = self.topo.params();
-        let rr = router.out_rr[out_port];
-        let radix = params.radix();
-        let key_rr = |ip: u32| (ip + radix - rr) % radix;
-        let pick = match self.cfg.arbiter {
-            ArbiterPolicy::RoundRobin => props
-                .iter()
-                .filter(|p| still_feasible(p))
-                .min_by_key(|&&(ip, _)| key_rr(ip))
-                .copied(),
-            ArbiterPolicy::TransitPriority => {
-                let class = |ip: u32| match params.port_kind(Port(ip)) {
-                    PortKind::Injection => 1u32,
-                    _ => 0u32,
-                };
-                props
-                    .iter()
-                    .filter(|p| still_feasible(p))
-                    .min_by_key(|&&(ip, _)| (class(ip), key_rr(ip)))
-                    .copied()
-            }
-            ArbiterPolicy::AgeBased => props
-                .iter()
-                .filter(|p| still_feasible(p))
-                .min_by_key(|&&(ip, vc)| {
-                    let gen = router.inputs[ip as usize][vc as usize]
-                        .front()
-                        .map(|id| arena.cold(id).header.gen_cycle)
-                        .unwrap_or(u64::MAX);
-                    (gen, key_rr(ip))
-                })
-                .copied(),
-        };
-        if let Some((ip, _)) = pick {
-            self.routers[r].out_rr[out_port] = (ip + 1) % radix;
-        }
-        pick
-    }
-
-    /// Move the granted packet from its input VC to the output buffer,
-    /// reserving downstream credit and returning upstream credit.
-    fn commit_grant(&mut self, r: usize, in_port: usize, vc: usize, out_port: usize) {
-        let params = *self.topo.params();
-        let (id, size) = self.routers[r].pop_input(in_port, vc);
-        if self.routers[r].input_count == 0 {
-            clear_bit(&mut self.alloc_active, r);
-        }
-        // If the VC's next head is still inside the pipeline, sleep the
-        // VC until its exact eligibility cycle.
-        if let Some(next) = self.routers[r].inputs[in_port][vc].front() {
-            let elig = self.arena.eligible_at(next);
-            if elig > self.cycle {
-                self.routers[r].sleep(in_port, vc);
-                self.wheel.schedule(
-                    elig - self.cycle,
-                    Event::HeadWake {
-                        router: self.routers[r].id(),
-                        port: Port(in_port as u32),
-                        vc: vc as u8,
-                    },
-                );
-            }
-        }
-        let decision = self.arena.take_decision(id).expect("granted head has decision");
-        debug_assert_eq!(decision.out_port.idx(), out_port);
-        let was_misrouted;
-        {
-            // One cold-slot touch per grant: wait accounting and the
-            // committed route state.
-            let wait = self.cycle.saturating_sub(self.arena.eligible_at(id));
-            let pkt = self.arena.cold_mut(id);
-            match params.port_kind(Port(in_port as u32)) {
-                PortKind::Injection => pkt.waits.injection += wait,
-                PortKind::Local => pkt.waits.local += wait,
-                PortKind::Global => pkt.waits.global += wait,
-            }
-            pkt.traversal += self.cfg.pipeline_latency;
-            was_misrouted = pkt.route.global_misrouted;
-            pkt.route = decision.info;
-            pkt.out_enq_at = self.cycle;
-        }
-        // An escape-path grant is the false→true transition of the
-        // misrouting flag: this grant first diverted the packet onto a
-        // non-minimal global path.
-        if decision.info.global_misrouted && !was_misrouted {
-            self.counters.escape_grants += 1;
-        }
-
-        // Fairness counters: packets leaving an injection input. The input
-        // port of an injection grant *is* the node's slot on its router.
-        if params.port_kind(Port(in_port as u32)) == PortKind::Injection {
-            self.counters.injected_per_router[r] += 1;
-            self.counters.injected_per_node[r * params.p as usize + in_port] += 1;
-        }
-
-        // Reserve downstream credit (transit outputs only).
-        if !self.routers[r].credits[out_port].is_empty() {
-            self.routers[r].reserve_credit(out_port, decision.out_vc as usize, size);
-        }
-        // The queue feeding a global link just grew (staged packet +
-        // reserved credit): PiggyBack's view of this router is stale.
-        if params.port_kind(Port(out_port as u32)) == PortKind::Global {
-            self.mark_global_dirty(r);
-        }
-
-        // Return credit upstream for the input space just freed. An
-        // upstream router outside this slice gets its credit through the
-        // outbox (cross-shard interception point #1); only global-link
-        // ports can cross a group — and therefore shard — boundary.
-        let flat = r * params.radix() as usize + in_port;
-        let latency = self.latencies[flat];
-        match self.peers[flat] {
-            PortTarget::Node(node) => {
-                self.wheel.schedule(
-                    latency,
-                    Event::NodeCredit { node, vc: vc as u8, phits: size },
-                );
-            }
-            PortTarget::Router { router, port } => {
-                if self.owns_router(router) {
-                    self.wheel.schedule(
-                        latency,
-                        Event::Credit { router, port, vc: vc as u8, phits: size },
-                    );
-                } else {
-                    self.outbox.credits.push(RemoteCredit {
-                        router,
-                        port,
-                        vc: vc as u8,
-                        phits: size,
-                        delay: latency,
-                    });
-                }
-            }
-        }
-
-        self.routers[r].stage_output(
-            out_port,
-            Staged { pkt: id, size, out_vc: decision.out_vc },
-        );
-        set_bit(&mut self.tx_active, r);
-    }
-
-    /// Start link transmissions from this router's staged output ports,
-    /// walking the ready-output bitmask instead of scanning all `radix`
-    /// buffers (ascending port order, as before).
-    fn transmit_outputs(&mut self, r: usize) {
-        debug_assert!(self.routers[r].staged_count > 0, "idle router on tx work list");
-        let params = *self.topo.params();
-        let radix = params.radix() as usize;
-        // Snapshot: `pop_output` may clear a bit of this mask, but only
-        // for the port just processed.
-        let mut ready = self.routers[r].out_ready;
-        while ready != 0 {
-            let out_port = ready.trailing_zeros() as usize;
-            ready &= ready - 1;
-            if self.routers[r].outputs[out_port].link_free_at > self.cycle {
-                continue;
-            }
-            let staged = self.routers[r].pop_output(out_port);
-            let size = staged.size;
-            let flat = r * radix + out_port;
-            let latency = self.latencies[flat];
-            // Output-side waiting, attributed by output-port kind
-            // (ejection counts as local — it is intra-"last-hop" HoL).
-            let pkt = self.arena.cold_mut(staged.pkt);
-            let wait = self.cycle - pkt.out_enq_at;
-            match params.port_kind(Port(out_port as u32)) {
-                PortKind::Injection | PortKind::Local => pkt.waits.local += wait,
-                PortKind::Global => pkt.waits.global += wait,
-            }
-            self.routers[r].outputs[out_port].link_free_at = self.cycle + size as u64;
-            self.routers[r].release_output(out_port, size);
-            if params.port_kind(Port(out_port as u32)) == PortKind::Global {
-                self.counters.global_phits += size as u64;
-                self.mark_global_dirty(r);
-            }
-            match self.peers[flat] {
-                PortTarget::Node(node) => {
-                    self.arena.cold_mut(staged.pkt).traversal += latency + size as u64;
-                    self.wheel.schedule(
-                        latency + size as u64,
-                        Event::ArriveNode { node, pkt: staged.pkt },
-                    );
-                }
-                PortTarget::Router { router, port } => {
-                    self.arena.cold_mut(staged.pkt).traversal += latency;
-                    if self.owns_router(router) {
-                        self.wheel.schedule(
-                            latency,
-                            Event::ArriveRouter {
-                                router,
-                                port,
-                                vc: staged.out_vc,
-                                pkt: staged.pkt,
-                                size,
-                            },
-                        );
-                    } else {
-                        // Cross-shard interception point #2: the packet
-                        // leaves this slice's arena and travels to the
-                        // owner as a value; the controller re-homes it at
-                        // the cycle barrier. Traversal was already
-                        // charged above, exactly as for a local hop.
-                        let packet = self.arena.snapshot(staged.pkt);
-                        self.arena.free(staged.pkt);
-                        self.live_packets -= 1;
-                        self.outbox.flits.push(RemoteFlit {
-                            router,
-                            port,
-                            vc: staged.out_vc,
-                            size,
-                            delay: latency,
-                            packet,
-                        });
-                    }
-                }
-            }
-        }
-        if self.routers[r].staged_count == 0 {
-            clear_bit(&mut self.tx_active, r);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Route-decision cache
-    // ------------------------------------------------------------------
-
-    /// Whether the recorded dependency of `id`'s cached decision still
-    /// holds at router `r` (see [`RouteDep`]).
-    #[inline]
-    fn dep_valid(&self, r: usize, id: PacketId) -> bool {
-        match self.arena.dep(id) {
-            RouteDep::Volatile => false,
-            RouteDep::Always => true,
-            RouteDep::Port { port, epoch } => {
-                self.routers[r].port_epoch(Port(port as u32)) == epoch
-            }
-        }
-    }
-
-    /// Shadow check for a reused adaptive decision: recompute the route
-    /// from scratch and assert it matches the cached decision. Compiled
-    /// only under `debug_assertions` or the `shadow-verify` feature.
-    ///
-    /// The recompute is safe precisely because reuse is restricted to
-    /// dependency-valid decisions, which by the [`RouteDep`] contract were
-    /// produced on RNG-free, state-mutation-free paths — so the recompute
-    /// is pure and perturbs nothing.
-    #[cfg(any(debug_assertions, feature = "shadow-verify"))]
-    fn shadow_verify_reuse(
-        &mut self,
-        r: usize,
-        in_port: usize,
-        vc: usize,
-        id: PacketId,
-        cached: Decision,
-        policy: &mut P,
-    ) {
-        let cold = self.arena.cold(id);
-        let (hdr, info) = (cold.header, cold.route);
-        let (fresh, fresh_dep) =
-            policy.route_with_deps(&self.routers[r], Port(in_port as u32), hdr, info);
-        assert_eq!(
-            cached, fresh,
-            "route cache divergence: reused decision != fresh recompute at \
-             cycle {} router {r} in(port={in_port},vc={vc}) pkt {} (dep {:?}, fresh dep {:?})",
-            self.cycle,
-            hdr.id,
-            self.arena.dep(id),
-            fresh_dep,
-        );
-        debug_assert!(
-            !matches!(fresh_dep, RouteDep::Volatile),
-            "route cache reused a decision whose recompute is volatile at \
-             cycle {} router {r} pkt {}",
-            self.cycle,
-            hdr.id,
-        );
     }
 
     /// Shadow check: verify every route-cache invariant against the
-    /// underlying state. O(network); intended for tests (mirrors
-    /// [`Self::assert_work_lists_match_full_scan`]). Panics with a
-    /// diagnostic on the first divergence. Specifically, per router:
+    /// underlying state, on every shard. O(network); intended for tests
+    /// (mirrors [`Self::assert_work_lists_match_full_scan`]). Panics with
+    /// a diagnostic on the first divergence. Specifically, per router:
     ///
     /// * `probe_ready` equals the number of ready, unparked VCs;
     /// * every parked VC is ready (non-empty) and registered in the
@@ -1493,135 +545,36 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
     ///   port it parked on, and that (port, VC) still cannot accept it —
     ///   a parked head that *could* proceed is a lost wakeup;
     /// * under an adaptive policy, the parked head's dependency is
-    ///   non-volatile and currently valid, and a pure recompute agrees
-    ///   with the cached decision.
+    ///   non-volatile and currently valid, and a pure recompute with the
+    ///   network's policy agrees with the cached decision.
     pub fn assert_route_cache_coherent(&mut self) {
-        let mut policy = self.policy.take().expect("policy detached (shard slice)");
-        self.assert_route_cache_coherent_with(&mut policy);
-        self.policy = Some(policy);
+        for sh in &mut self.shards {
+            sh.assert_route_cache_coherent(&mut self.policy);
+        }
     }
 
-    /// [`Self::assert_route_cache_coherent`] with the policy supplied by
-    /// the sharded controller.
-    pub(crate) fn assert_route_cache_coherent_with(&mut self, policy: &mut P) {
-        let adaptive = policy.adaptive_reroute();
-        let radix = self.topo.params().radix() as usize;
-        for r in 0..self.routers.len() {
-            let mut expect_ready = 0u32;
-            for in_port in 0..radix {
-                let ready = self.routers[r].in_ready[in_port];
-                let parked = self.routers[r].in_parked[in_port];
-                let sleeping = self.routers[r].in_sleeping[in_port];
-                assert_eq!(
-                    parked & !ready,
-                    0,
-                    "parked VC without resident packet at router {r} port {in_port}, cycle {}",
-                    self.cycle
-                );
-                assert_eq!(
-                    sleeping & !ready,
-                    0,
-                    "sleeping VC without resident packet at router {r} port {in_port}, cycle {}",
-                    self.cycle
-                );
-                assert_eq!(
-                    sleeping & parked,
-                    0,
-                    "VC both sleeping and parked at router {r} port {in_port}, cycle {}",
-                    self.cycle
-                );
-                let mut smask = sleeping;
-                while smask != 0 {
-                    let vc = smask.trailing_zeros() as usize;
-                    smask &= smask - 1;
-                    let (id, _) = self.routers[r].inputs[in_port][vc]
-                        .front_entry()
-                        .expect("sleeping bit set on empty VC");
-                    assert!(
-                        self.arena.eligible_at(id) > self.cycle,
-                        "sleeping head already eligible (missed wake) at router {r} \
-                         in(port={in_port},vc={vc}), cycle {}",
-                        self.cycle
-                    );
-                }
-                expect_ready += (ready & !parked & !sleeping).count_ones();
-                let mut mask = parked;
-                while mask != 0 {
-                    let vc = mask.trailing_zeros() as usize;
-                    mask &= mask - 1;
-                    let target = self.routers[r]
-                        .parked_target(Port(in_port as u32), vc as u8)
-                        .expect("parked bit set without parked_on target");
-                    assert!(
-                        self.routers[r].waiters[target.idx()] & (1u64 << in_port) != 0,
-                        "parked head not in waiter mask of its target port at \
-                         router {r} in(port={in_port},vc={vc}) -> out {}, cycle {}",
-                        target.0,
-                        self.cycle
-                    );
-                    let (id, size) = self.routers[r].inputs[in_port][vc]
-                        .front_entry()
-                        .expect("parked bit set on empty VC");
-                    assert!(
-                        self.arena.eligible_at(id) <= self.cycle,
-                        "parked head not yet eligible at router {r} \
-                         in(port={in_port},vc={vc}), cycle {}",
-                        self.cycle
-                    );
-                    let d = self
-                        .arena
-                        .decision(id)
-                        .expect("parked head without a cached decision");
-                    assert_eq!(
-                        d.out_port, target,
-                        "parked head's decision targets a different port at \
-                         router {r} in(port={in_port},vc={vc}), cycle {}",
-                        self.cycle
-                    );
-                    assert!(
-                        !self.routers[r].can_accept(d.out_port, d.out_vc, size),
-                        "lost wakeup: parked head could proceed at router {r} \
-                         in(port={in_port},vc={vc}) -> out {}, cycle {}",
-                        d.out_port.0,
-                        self.cycle
-                    );
-                    if adaptive {
-                        assert!(
-                            !matches!(self.arena.dep(id), RouteDep::Volatile),
-                            "volatile decision parked at router {r} \
-                             in(port={in_port},vc={vc}), cycle {}",
-                            self.cycle
-                        );
-                        assert!(
-                            self.dep_valid(r, id),
-                            "parked head's dependency went stale without an \
-                             unpark at router {r} in(port={in_port},vc={vc}), cycle {}",
-                            self.cycle
-                        );
-                        #[cfg(any(debug_assertions, feature = "shadow-verify"))]
-                        self.shadow_verify_reuse(r, in_port, vc, id, d, policy);
-                    }
-                }
-            }
-            assert_eq!(
-                self.routers[r].probe_ready(),
-                expect_ready,
-                "probe_ready counter diverged at router {r}, cycle {}",
-                self.cycle
-            );
+    /// Diagnostic: print up to `max_lines` blocked input-VC heads
+    /// (eligible but not granted) with the resources they wait for, in
+    /// ascending router order. For debugging hangs.
+    pub fn dump_blocked(&self, max_lines: usize) {
+        let mut printed = 0;
+        for sh in &self.shards {
+            printed += sh.dump_blocked(max_lines - printed);
         }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::packet::{Decision, PacketHeader, RouteInfo};
-    use df_topology::{Arrangement, DragonflyParams};
+    use crate::config::ArbiterPolicy;
+    use crate::packet::{Decision, DeliveredRecord, PacketHeader, RouteInfo};
+    use crate::policy::NullSink;
+    use df_topology::{Arrangement, DragonflyParams, Port, PortKind, PortLayout};
 
     /// Minimal-only test policy: local hop to exit router, global hop,
     /// local hop to destination router, ejection.
-    struct MinOnly {
+    pub(crate) struct MinOnly {
         topo: Topology,
     }
 
@@ -1670,12 +623,17 @@ mod tests {
         }
     }
 
-    fn small_net() -> Network<MinOnly, crate::policy::NullSink> {
-        let params = DragonflyParams::figure1();
-        let topo = Topology::new(params, Arrangement::Palmtree);
+    /// The figure-1 network (72 nodes, 9 groups) under [`MinOnly`] with
+    /// round-robin arbitration, split into `shards` shards.
+    pub(crate) fn figure1_net<K: StatsSink>(shards: u32, sink: K) -> Network<MinOnly, K> {
+        let topo = Topology::new(DragonflyParams::figure1(), Arrangement::Palmtree);
         let policy = MinOnly { topo: topo.clone() };
         let cfg = EngineConfig::paper(ArbiterPolicy::RoundRobin, 3);
-        Network::new(topo, cfg, policy, crate::policy::NullSink)
+        Network::new(topo, cfg, policy, sink, shards)
+    }
+
+    fn small_net() -> Network<MinOnly, NullSink> {
+        figure1_net(1, NullSink)
     }
 
     #[test]
@@ -1700,14 +658,10 @@ mod tests {
 
     #[test]
     fn latency_identity_holds() {
-        let params = DragonflyParams::figure1();
-        let topo = Topology::new(params, Arrangement::Palmtree);
-        let policy = MinOnly { topo: topo.clone() };
-        let cfg = EngineConfig::paper(ArbiterPolicy::RoundRobin, 3);
         let records = std::cell::RefCell::new(Vec::new());
         {
-            let sink = |rec: &DeliveredRecord| records.borrow_mut().push(*rec);
-            let mut net = Network::new(topo, cfg, policy, sink);
+            let mut net =
+                figure1_net(1, |rec: &DeliveredRecord| records.borrow_mut().push(*rec));
             for i in 0..10u32 {
                 net.offer(NodeId(i % 72), NodeId((i * 7 + 13) % 72));
             }
@@ -1728,14 +682,10 @@ mod tests {
 
     #[test]
     fn unloaded_latency_matches_min_traversal() {
-        let params = DragonflyParams::figure1();
-        let topo = Topology::new(params, Arrangement::Palmtree);
-        let policy = MinOnly { topo: topo.clone() };
-        let cfg = EngineConfig::paper(ArbiterPolicy::RoundRobin, 3);
         let records = std::cell::RefCell::new(Vec::new());
         {
-            let sink = |rec: &DeliveredRecord| records.borrow_mut().push(*rec);
-            let mut net = Network::new(topo, cfg, policy, sink);
+            let mut net =
+                figure1_net(1, |rec: &DeliveredRecord| records.borrow_mut().push(*rec));
             net.offer(NodeId(0), NodeId(70));
             assert!(net.drain(10_000));
         }
@@ -1783,48 +733,31 @@ mod tests {
     #[test]
     fn credits_fully_restored_after_drain() {
         // Credit conservation: once the network drains, every credit
-        // counter must be back at its capacity and every buffer empty.
-        let mut net = small_net();
-        let nodes = net.topology().params().nodes();
-        for round in 0..10u32 {
-            for n in 0..nodes {
-                let dst = (n * 7 + round * 13 + 1) % nodes;
-                if dst != n {
-                    net.offer(NodeId(n), NodeId(dst));
+        // counter must be back at its capacity and every buffer empty —
+        // on one shard and across shard boundaries alike.
+        for shards in [1, 3] {
+            let mut net = figure1_net(shards, NullSink);
+            let nodes = net.topology().params().nodes();
+            for round in 0..10u32 {
+                for n in 0..nodes {
+                    let dst = (n * 7 + round * 13 + 1) % nodes;
+                    if dst != n {
+                        net.offer(NodeId(n), NodeId(dst));
+                    }
                 }
+                net.step();
             }
-            net.step();
-        }
-        assert!(net.drain(100_000));
-        // Let straggler credit returns land.
-        net.run(300);
-        for r in &net.routers {
-            assert_eq!(r.input_packets(), 0);
-            assert_eq!(r.output_packets(), 0);
-            for (port, creds) in r.credits.iter().enumerate() {
-                assert_eq!(
-                    creds, &r.credit_caps[port],
-                    "credits leaked at router {:?} port {port}",
-                    r.id()
-                );
-                assert_eq!(
-                    r.downstream_occupied(Port(port as u32)),
-                    0,
-                    "cached downstream occupancy out of sync at {:?} port {port}",
-                    r.id()
-                );
+            assert!(net.drain(100_000));
+            // Let straggler credit returns land.
+            net.run(300);
+            for sh in &net.shards {
+                sh.assert_credits_restored();
             }
-            assert!(r.in_ready.iter().all(|&m| m == 0), "stale ready bits");
+            assert_eq!(net.events_pending(), 0);
+            // Arena integrity: every slot freed, capacity bounded by the peak.
+            assert_eq!(net.arena_live(), 0, "arena leaked packets");
+            assert!(net.arena_capacity() > 0);
         }
-        for node in &net.nodes {
-            assert!(node.queue.is_empty());
-            let total: u32 = node.credits.iter().sum();
-            assert_eq!(total, net.cfg.injection_input_buffer * net.cfg.vcs_injection as u32);
-        }
-        assert_eq!(net.events_pending(), 0);
-        // Arena integrity: every slot freed, capacity bounded by the peak.
-        assert_eq!(net.arena_live(), 0, "arena leaked packets");
-        assert!(net.arena_capacity() > 0);
     }
 
     #[test]

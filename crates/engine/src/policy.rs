@@ -11,14 +11,18 @@ use df_topology::Port;
 /// (e.g. PiggyBack's saturation flags) only need to refresh the routers
 /// in [`CycleCtx::dirty_global`] instead of rescanning the network.
 pub struct CycleCtx<'a> {
-    /// All routers, indexed by router id (congestion probes are O(1)).
+    /// The calling shard's routers in ascending id order — every router
+    /// in a one-shard network. `begin_cycle` runs once per shard per
+    /// cycle, in ascending shard order; `RouterState::id` gives each
+    /// router's global id.
     pub routers: &'a [RouterState],
     /// The cycle about to be simulated.
     pub cycle: u64,
-    /// Indices of routers whose global-link output queues (staged phits
-    /// or consumed downstream credits) changed since the previous cycle's
-    /// `begin_cycle`, deduplicated, in first-change order. Routers absent
-    /// from this list have bit-identical global-queue depths.
+    /// Indices into `routers` of routers whose global-link output queues
+    /// (staged phits or consumed downstream credits) changed since the
+    /// previous cycle's `begin_cycle`, deduplicated, in first-change
+    /// order. Routers absent from this list have bit-identical
+    /// global-queue depths.
     pub dirty_global: &'a [u32],
 }
 
@@ -26,9 +30,11 @@ pub struct CycleCtx<'a> {
 /// needs an output decision.
 ///
 /// Implementations live in `df-routing`. The engine guarantees:
-/// * `begin_cycle` runs once per simulated cycle, before any allocation,
-///   with read access to every router and the dirty-router list (used
-///   e.g. by PiggyBack's incremental group-wide saturation exchange);
+/// * `begin_cycle` runs once per shard per simulated cycle, in ascending
+///   shard order and before any allocation, with read access to the
+///   shard's routers and its dirty-router list (used e.g. by PiggyBack's
+///   incremental group-wide saturation exchange; shards hold whole
+///   groups);
 /// * `route` sees a consistent congestion snapshot of the current router
 ///   and must return a decision whose output port is valid for the packet
 ///   (the engine enforces buffer/credit feasibility, not path validity).

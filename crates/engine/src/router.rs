@@ -415,7 +415,7 @@ impl RouterState {
     }
 
     /// Head packet handle of an input VC, if any (diagnostics; resolve
-    /// through [`crate::network::Network::packet`]).
+    /// through [`crate::Network::packet_at`] with this router).
     pub fn head(&self, port: Port, vc: u8) -> Option<PacketId> {
         self.inputs[port.idx()][vc as usize].front()
     }

@@ -434,7 +434,7 @@ mod tests {
         let recs = std::cell::RefCell::new(Vec::new());
         {
             let sink = |r: &DeliveredRecord| recs.borrow_mut().push(*r);
-            let mut net = Network::new(topo, cfg, mechanism, sink);
+            let mut net = Network::new(topo, cfg, mechanism, sink, 1);
             let params = *net.topology().params();
             let per_group = params.a * params.p;
             let mut rng = SmallRng::seed_from_u64(2);
@@ -462,7 +462,7 @@ mod tests {
         let recs = std::cell::RefCell::new(Vec::new());
         {
             let sink = |r: &DeliveredRecord| recs.borrow_mut().push(*r);
-            let mut net = Network::new(topo, cfg, mechanism, sink);
+            let mut net = Network::new(topo, cfg, mechanism, sink, 1);
             net.offer(NodeId(0), NodeId(40));
             assert!(net.drain(5_000));
         }

@@ -48,7 +48,7 @@ mod tests {
         let topo = Topology::new(DragonflyParams::figure1(), Arrangement::Palmtree);
         let cfg = EngineConfig::paper(ArbiterPolicy::RoundRobin, 3);
         let policy = MinRouting::new(topo.clone(), &cfg);
-        Network::new(topo, cfg, policy, NullSink)
+        Network::new(topo, cfg, policy, NullSink, 1)
     }
 
     #[test]
@@ -70,7 +70,7 @@ mod tests {
         let recs = std::cell::RefCell::new(Vec::new());
         {
             let sink = |r: &df_engine::DeliveredRecord| recs.borrow_mut().push(*r);
-            let mut net = Network::new(topo, cfg, policy, sink);
+            let mut net = Network::new(topo, cfg, policy, sink, 1);
             net.offer(NodeId(0), NodeId(40));
             assert!(net.drain(5_000));
         }

@@ -116,7 +116,7 @@ mod tests {
         let recs = std::cell::RefCell::new(Vec::new());
         {
             let sink = |r: &DeliveredRecord| recs.borrow_mut().push(*r);
-            let mut net = Network::new(topo, cfg, policy, sink);
+            let mut net = Network::new(topo, cfg, policy, sink, 1);
             let nodes = net.topology().params().nodes();
             for n in 0..nodes {
                 net.offer(NodeId(n), NodeId((n + 8) % nodes)); // ADV+1-ish
@@ -173,7 +173,7 @@ mod tests {
         let recs = std::cell::RefCell::new(Vec::new());
         {
             let sink = |r: &DeliveredRecord| recs.borrow_mut().push(*r);
-            let mut net = Network::new(topo, cfg, policy, sink);
+            let mut net = Network::new(topo, cfg, policy, sink, 1);
             net.offer(NodeId(0), NodeId(6)); // same group (p=2, a=4)
             assert!(net.drain(5_000));
         }

@@ -209,7 +209,7 @@ mod tests {
         let recs = std::cell::RefCell::new(Vec::new());
         {
             let sink = |r: &DeliveredRecord| recs.borrow_mut().push(*r);
-            let mut net = Network::new(topo, cfg, policy, sink);
+            let mut net = Network::new(topo, cfg, policy, sink, 1);
             net.offer(NodeId(0), NodeId(40));
             net.offer(NodeId(1), NodeId(55));
             assert!(net.drain(5_000));
@@ -232,7 +232,7 @@ mod tests {
         let recs = std::cell::RefCell::new(Vec::new());
         {
             let sink = |r: &DeliveredRecord| recs.borrow_mut().push(*r);
-            let mut net = Network::new(topo, cfg, policy, sink);
+            let mut net = Network::new(topo, cfg, policy, sink, 1);
             let params = *net.topology().params();
             let nodes = params.nodes();
             let per_group = params.a * params.p;
@@ -330,7 +330,7 @@ mod tests {
             shadow: PiggyBack::new(topo.clone(), &cfg, ObliviousFlavor::Rrg, 9),
             checked_cycles: 0,
         };
-        let mut net = Network::new(topo, cfg, policy, df_engine::NullSink);
+        let mut net = Network::new(topo, cfg, policy, df_engine::NullSink, 1);
         let per_group = params.a * params.p;
         let mut rng = SmallRng::seed_from_u64(3);
         for _ in 0..1200u32 {

@@ -147,7 +147,7 @@ mod tests {
                 EngineConfig::paper(ArbiterPolicy::RoundRobin, spec.required_local_vcs());
             let policy = spec.build(topo.clone(), &cfg, 3);
             assert_eq!(policy.name(), spec.label());
-            let mut net = Network::new(topo, cfg, policy, NullSink);
+            let mut net = Network::new(topo, cfg, policy, NullSink, 1);
             for n in 0..params.nodes() {
                 net.offer(NodeId(n), NodeId((n + params.a * params.p) % params.nodes()));
             }

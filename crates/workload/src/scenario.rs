@@ -69,7 +69,7 @@ pub struct ScenarioSpec {
     pub jobs: Vec<JobSpec>,
     /// Group-shard count for parallel execution. `None` (an omitted JSON
     /// field) defers to the `DF_TEST_SHARDS` environment variable, then
-    /// to the serial engine. Purely operational: same-seed results are
+    /// to one shard. Purely operational: same-seed results are
     /// bit-identical for every value, which is why the service layer
     /// strips it from cache keys.
     pub shards: Option<u32>,

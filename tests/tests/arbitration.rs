@@ -92,7 +92,7 @@ fn congestion_signal_variants_all_deliver() {
         let cfg = EngineConfig::paper(ArbiterPolicy::TransitPriority, 3);
         let policy = InTransit::new(topo.clone(), &cfg, GlobalMisrouting::Mm, 5)
             .with_signal(signal);
-        let mut net = Network::new(topo, cfg, policy, NullSink);
+        let mut net = Network::new(topo, cfg, policy, NullSink, 1);
         let mut pattern =
             PatternSpec::AdvConsecutive { spread: None }.build(params, 11);
         let mut offered = 0u64;
@@ -151,7 +151,7 @@ fn lru_escape_rotates_candidates_deterministically() {
     // full load, far above the 1 phit/cycle the local link drains.
     let cfg = EngineConfig::paper(ArbiterPolicy::TransitPriority, 3);
     let min_policy = MechanismSpec::Min.build(topo.clone(), &cfg, 5);
-    let mut net = Network::new(topo.clone(), cfg, min_policy, NullSink);
+    let mut net = Network::new(topo.clone(), cfg, min_policy, NullSink, 1);
     for _ in 0..1_500 {
         net.offer(NodeId(0), dst);
         net.offer(NodeId(1), dst);
@@ -240,7 +240,7 @@ fn reevaluation_mode_delivers() {
     let cfg = EngineConfig::paper(ArbiterPolicy::TransitPriority, 3);
     let policy = InTransit::new(topo.clone(), &cfg, GlobalMisrouting::Crg, 5)
         .with_reevaluation(true);
-    let mut net = Network::new(topo, cfg, policy, NullSink);
+    let mut net = Network::new(topo, cfg, policy, NullSink, 1);
     let mut pattern = PatternSpec::Adversarial { offset: 1 }.build(params, 3);
     let mut offered = 0u64;
     for _ in 0..500 {

@@ -23,7 +23,7 @@ fn figure1_net(
     let topo = Topology::new(DragonflyParams::figure1(), Arrangement::Palmtree);
     let cfg = EngineConfig::paper(ArbiterPolicy::TransitPriority, 4);
     let policy = mechanism.build(topo.clone(), &cfg, 7);
-    Network::new(topo, cfg, policy, NullSink)
+    Network::new(topo, cfg, policy, NullSink, 1)
 }
 
 #[test]

@@ -28,7 +28,7 @@ fn burst_and_drain(
     let mut offered = 0u64;
     {
         let sink = |r: &DeliveredRecord| recs.borrow_mut().push(*r);
-        let mut net = Network::new(topo, cfg, policy, sink);
+        let mut net = Network::new(topo, cfg, policy, sink, 1);
         let mut traffic = pattern.build(params, 21);
         for _round in 0..packets_per_node {
             for n in 0..params.nodes() {
@@ -107,7 +107,7 @@ fn destinations_are_correct() {
     let recs = std::cell::RefCell::new(Vec::new());
     {
         let sink = |r: &DeliveredRecord| recs.borrow_mut().push(*r);
-        let mut net = Network::new(topo, cfg, policy, sink);
+        let mut net = Network::new(topo, cfg, policy, sink, 1);
         let expected: Vec<(NodeId, NodeId)> =
             (0..params.nodes()).map(|n| (NodeId(n), NodeId((n * 13 + 5) % params.nodes())))
                 .filter(|(s, d)| s != d)

@@ -6,14 +6,17 @@
 //! must never change a simulation result. These tests drive `Network`
 //! directly with randomized churn schedules across every mechanism
 //! family — including in-transit adaptive with per-cycle re-evaluation,
-//! where cached decisions are actually reused — and assert:
+//! where cached decisions are actually reused — on 1 to 3 shards, and
+//! assert:
 //!
 //! * cache-on and cache-off runs deliver bit-identical record streams;
 //! * disabling and re-enabling the cache mid-run (a cold cache restart)
 //!   is also bit-identical to an uninterrupted warm-cache run;
-//! * the cache's internal invariants hold every cycle
-//!   (`assert_route_cache_coherent`, which in debug builds also
-//!   recomputes every reused decision from scratch).
+//! * the cache's internal invariants hold every few cycles on every
+//!   shard (`assert_route_cache_coherent`, which in debug builds also
+//!   recomputes every reused decision from scratch), and so do the
+//!   scheduling work lists and cross-shard queues
+//!   (`assert_work_lists_match_full_scan`).
 
 use dragonfly_core::df_engine::{
     ArbiterPolicy, DeliveredRecord, EngineConfig, Network, RoutingPolicy,
@@ -66,9 +69,10 @@ enum CacheMode {
     Churn(u64),
 }
 
-/// Run `policy` over `schedule` with offers generated from `seed`, and
-/// return the delivered-record stream serialized to JSON (records carry
-/// every latency/wait/hop field, so string equality is bit-identity).
+/// Run `policy` on `shards` shards over `schedule` with offers generated
+/// from `seed`, and return the delivered-record stream serialized to
+/// JSON (records carry every latency/wait/hop field, so string equality
+/// is bit-identity).
 fn run(
     topo: Topology,
     cfg: EngineConfig,
@@ -76,12 +80,13 @@ fn run(
     schedule: &[Phase],
     seed: u64,
     mode: CacheMode,
+    shards: u32,
 ) -> String {
     let params = *topo.params();
     let recs = std::cell::RefCell::new(Vec::<DeliveredRecord>::new());
     {
         let sink = |r: &DeliveredRecord| recs.borrow_mut().push(*r);
-        let mut net = Network::new(topo, cfg, policy, sink);
+        let mut net = Network::new(topo, cfg, policy, sink, shards);
         if let CacheMode::Off = mode {
             net.set_route_cache(false);
         }
@@ -169,13 +174,15 @@ proptest! {
 
     // Cache-on (with per-cycle invariant checks) and cache-off runs of
     // the same seed deliver bit-identical record streams, for every
-    // mechanism family including per-cycle re-evaluating adaptive ones.
+    // mechanism family including per-cycle re-evaluating adaptive ones,
+    // on one shard or several.
     #[test]
     fn cache_on_equals_cache_off(
         policy_idx in 0usize..7,
         schedule in arb_schedule(),
         seed in 1u64..u64::MAX,
         rr_arbiter in any::<bool>(),
+        shards in 1u32..4,
     ) {
         let (topo, _) = small_topo();
         let arbiter = if rr_arbiter { ArbiterPolicy::RoundRobin } else { ArbiterPolicy::TransitPriority };
@@ -183,14 +190,17 @@ proptest! {
         let on = run(
             topo.clone(), cfg,
             build_policy(policy_idx, &topo, &cfg, seed),
-            &schedule, seed, CacheMode::On,
+            &schedule, seed, CacheMode::On, shards,
         );
         let off = run(
             topo.clone(), cfg,
             build_policy(policy_idx, &topo, &cfg, seed),
-            &schedule, seed, CacheMode::Off,
+            &schedule, seed, CacheMode::Off, shards,
         );
-        prop_assert_eq!(on, off, "route cache changed simulation behavior (policy {})", policy_idx);
+        prop_assert_eq!(
+            on, off,
+            "route cache changed simulation behavior (policy {}, {} shards)", policy_idx, shards
+        );
     }
 
     // A cold cache restart mid-run (disable + re-enable, flushing all
@@ -201,19 +211,23 @@ proptest! {
         schedule in arb_schedule(),
         seed in 1u64..u64::MAX,
         churn_every in 3u64..40,
+        shards in 1u32..4,
     ) {
         let (topo, _) = small_topo();
         let cfg = EngineConfig::paper(ArbiterPolicy::TransitPriority, vcs_for_policy(policy_idx));
         let warm = run(
             topo.clone(), cfg,
             build_policy(policy_idx, &topo, &cfg, seed),
-            &schedule, seed, CacheMode::On,
+            &schedule, seed, CacheMode::On, shards,
         );
         let cold = run(
             topo.clone(), cfg,
             build_policy(policy_idx, &topo, &cfg, seed),
-            &schedule, seed, CacheMode::Churn(churn_every),
+            &schedule, seed, CacheMode::Churn(churn_every), shards,
         );
-        prop_assert_eq!(warm, cold, "cold cache restart diverged (policy {})", policy_idx);
+        prop_assert_eq!(
+            warm, cold,
+            "cold cache restart diverged (policy {}, {} shards)", policy_idx, shards
+        );
     }
 }

@@ -140,20 +140,20 @@ proptest! {
 /// Mid-run coherence under `shadow-verify`: after every cycle of a
 /// loaded 3-shard run, shard cycles must be aligned, cross-shard
 /// outboxes drained, per-shard record queues flushed, and every shard's
-/// incremental allocator work-lists must match a full scan (the
-/// sharded mirror of `assert_work_lists_match_full_scan`). The route
-/// cache is audited against a fresh policy probe every 64 cycles.
+/// incremental allocator work-lists must match a full scan
+/// (`assert_work_lists_match_full_scan`). The route cache is audited
+/// against a fresh policy probe every 64 cycles.
 #[cfg(feature = "shadow-verify")]
 #[test]
 fn cross_shard_queues_cohere_mid_run() {
-    use dragonfly_core::df_engine::{ArbiterPolicy, EngineConfig, NullSink, ShardedNetwork};
+    use dragonfly_core::df_engine::{ArbiterPolicy, EngineConfig, Network, NullSink};
     use dragonfly_core::df_topology::Topology;
 
     let params = DragonflyParams::figure1();
     let topo = Topology::new(params, Arrangement::Palmtree);
     let cfg = EngineConfig::paper(ArbiterPolicy::TransitPriority, 3);
     let policy = MechanismSpec::InTransitMm.build(topo.clone(), &cfg, 7);
-    let mut net = ShardedNetwork::new(topo, cfg, policy, NullSink, 3);
+    let mut net = Network::new(topo, cfg, policy, NullSink, 3);
     for cycle in 0..600u64 {
         for n in 0..params.nodes() {
             if (n as u64).wrapping_mul(2654435761).wrapping_add(cycle) % 5 == 0 {
@@ -161,7 +161,7 @@ fn cross_shard_queues_cohere_mid_run() {
             }
         }
         net.step();
-        net.assert_shards_coherent();
+        net.assert_work_lists_match_full_scan();
         if cycle % 64 == 0 {
             net.assert_route_cache_coherent();
         }
@@ -213,7 +213,7 @@ fn beyond_paper_h7_scenario_is_shard_invariant() {
 /// Nested parallelism: a sweep's units already run in parallel, so a
 /// sharded engine built inside a sweep worker takes no helper threads
 /// from the process-wide budget — its shards step inline on the worker —
-/// and the table is still byte-identical to the serial engine's. No
+/// and the table is still byte-identical to the one-shard run's. No
 /// timing is involved: the helper count is read back, not inferred.
 #[test]
 fn sharded_sweep_cells_take_no_helpers_and_match_serial() {

@@ -3,7 +3,8 @@
 //! under job churn straddling window boundaries, telemetry on/off
 //! bit-equality of the golden summaries, and the paper-level signal —
 //! the victim job's windowed throughput collapsing under In-Trns-CRG
-//! while Obl-CRG stays flat.
+//! while Obl-CRG stays flat. Phase timing is observability too: a run
+//! stepped through `step_profiled` must be byte-identical to `run()`.
 
 use dragonfly_core::df_stats::RateWindow;
 use dragonfly_core::df_workload::{InjectionSpec, JobSpec, PlacementSpec, ScenarioSpec};
@@ -243,5 +244,55 @@ fn victim_windowed_throughput_collapses_under_crg_but_not_oblivious() {
     // every single window, not just on average.
     for (w, (c, o)) in crg.iter().zip(&obl).enumerate() {
         assert!(o > c, "window {w}: oblivious {o:.4} <= in-transit {c:.4}");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Phase timing is read-only
+// ---------------------------------------------------------------------
+
+/// The same config driven by `run()` and cycle by cycle through
+/// `step_profiled` yields byte-identical results at 1 and 2 shards, and
+/// the profile accounts for every stepped cycle: the barrier is a share
+/// of transmit, and one shard never waits for helpers.
+#[test]
+fn timed_steps_equal_untimed_steps() {
+    for shards in [1u32, 2] {
+        let mut cfg = SimConfig::small(
+            MechanismSpec::InTransitCrg,
+            ArbiterPolicy::TransitPriority,
+            PatternSpec::AdvConsecutive { spread: None },
+            0.4,
+        );
+        cfg.params = DragonflyParams::figure1();
+        cfg.warmup_cycles = 500;
+        cfg.measure_cycles = 1_500;
+        cfg.telemetry = Some(TelemetrySpec { window_cycles: 250, ..TelemetrySpec::default() });
+        cfg.shards = Some(shards);
+        let untimed = serde_json::to_string(&run_single(&cfg)).expect("serialize");
+
+        let mut sim = Simulator::new(&cfg);
+        let mut profile = dragonfly_core::df_engine::PhaseProfile::default();
+        for _ in 0..cfg.warmup_cycles {
+            sim.step_profiled(&mut profile);
+        }
+        sim.begin_measurement();
+        for _ in 0..cfg.measure_cycles {
+            sim.step_profiled(&mut profile);
+        }
+        let timed = serde_json::to_string(&sim.finish()).expect("serialize");
+
+        assert_eq!(timed, untimed, "step_profiled changed the result at S={shards}");
+        assert_eq!(profile.cycles, cfg.warmup_cycles + cfg.measure_cycles, "S={shards}");
+        assert!(profile.total_ns() > 0, "S={shards}: no phase time recorded");
+        assert!(
+            profile.barrier_ns <= profile.transmit_ns,
+            "S={shards}: barrier {} ns outside transmit {} ns",
+            profile.barrier_ns,
+            profile.transmit_ns
+        );
+        if shards == 1 {
+            assert_eq!(profile.wait_ns, 0, "one shard waited for helpers");
+        }
     }
 }
